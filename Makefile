@@ -33,12 +33,16 @@
 #                  callee-hash invalidation, the unit store and session
 #                  table, and the /v1/session + delta_of HTTP suites,
 #                  all under the race detector
+#   make perfbench-test — the benchmark's own self-tests (seed
+#                  determinism, verdict preservation, -inject failures);
+#                  perfbench is a separate module, so go test ./... at
+#                  the root never runs them
 #   make fuzz    — short fuzz session over the parser and simplifier
 #   make bench   — batch-driver, cache, and interpreter benchmarks
 
 GO ?= go
 
-.PHONY: build fmt vet test race check fuzz fuzz-smoke fault-e2e chaos-e2e bench benchsmoke serve-smoke trace-smoke property-soundness codegen-differential incr-differential experiments
+.PHONY: build fmt vet test race check perfbench-test fuzz fuzz-smoke fault-e2e chaos-e2e bench benchsmoke serve-smoke trace-smoke property-soundness codegen-differential incr-differential experiments
 
 build:
 	$(GO) build ./...
@@ -142,7 +146,12 @@ incr-differential:
 	$(GO) test -race -run 'TestIncr|TestSession|TestDelta' \
 		./internal/incr/ ./internal/core/ ./internal/server/
 
-check: fmt vet build test race benchsmoke vm-differential codegen-differential serve-smoke trace-smoke fuzz-smoke property-soundness fault-e2e chaos-e2e incr-differential
+# The benchmark's self-tests: perfbench/ is its own Go module (with a
+# replace to this one), so the root go test ./... does not reach it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
+check: fmt vet build test race benchsmoke vm-differential codegen-differential serve-smoke trace-smoke fuzz-smoke property-soundness fault-e2e chaos-e2e incr-differential perfbench-test
 
 fuzz:
 	$(GO) test -run FuzzParse -fuzz FuzzParse -fuzztime 20s ./internal/cminus/

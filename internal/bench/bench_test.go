@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/phase2"
+	"repro/internal/simcore"
 )
 
 func quickHarness() *Harness {
@@ -123,12 +124,27 @@ func TestFig16Shape(t *testing.T) {
 	}
 }
 
+// fig17Calibration is the calibration TestFig17Shape evaluates under: the
+// component-wise median of 31 Calibrate(true) runs on an idle 2-vCPU
+// x86-64 Linux host (Go 1.24). Over those runs SecondsPerUnit spanned
+// 0.80–1.92 ns, ForkJoinUnits 527–1051 and DispatchUnits 12.9–49.1, and
+// gramschmidt's improvement 1.27–2.12 (1.45 at the median). Calibrating
+// from the wall clock in every run made the test flaky: on a busy host
+// (go test ./... runs packages in parallel) a calibration occasionally
+// pushed gramschmidt just below the 1.15 threshold. TestCalibrationSane
+// covers the measured path.
+var fig17Calibration = simcore.Calibration{
+	SecondsPerUnit: 1.49919e-09,
+	ForkJoinUnits:  886.771,
+	DispatchUnits:  21.5991,
+}
+
 // TestFig17Shape reproduces the headline claims: the new algorithm
 // improves 10/12 benchmarks (>1.15x), classical 6, base 7; and the new
 // arm is at least as good as base, which is at least as good as classical
 // everywhere.
 func TestFig17Shape(t *testing.T) {
-	h := quickHarness()
+	h := &Harness{Cal: fig17Calibration, Out: io.Discard, Quick: true}
 	rows := h.Fig17()
 	if len(rows) != 12 {
 		t.Fatalf("want 12 rows")

@@ -374,8 +374,10 @@ func NewSet(items ...Expr) Expr {
 	for _, it := range items {
 		walk(it)
 	}
+	// Render each item once; the keys serve both dedup and ordering.
 	seen := make(map[string]bool, len(flat))
 	var uniq []Expr
+	var keys []string
 	for _, it := range flat {
 		if it.Kind() == KBottom {
 			return Bottom{}
@@ -384,9 +386,10 @@ func NewSet(items ...Expr) Expr {
 		if !seen[k] {
 			seen[k] = true
 			uniq = append(uniq, it)
+			keys = append(keys, k)
 		}
 	}
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i].String() < uniq[j].String() })
+	sort.Sort(&keyedExprs{exprs: uniq, keys: keys})
 	switch len(uniq) {
 	case 0:
 		return Bottom{}

@@ -181,17 +181,17 @@ func boundSubst(e Expr, ctx Context, lower bool) (Expr, bool) {
 	if v.invalid || v.isRange {
 		return nil, false
 	}
-	out := linsum{}
+	var out linsum
 	changed := false
 	for _, t := range v.lo {
 		if len(t.atoms) == 0 {
-			out.add(t)
+			out = addScaled(out, linsum{t}, 1)
 			continue
 		}
 		if len(t.atoms) != 1 {
 			return nil, false
 		}
-		name, ok := atomName(t.atoms[0])
+		name, ok := atomName(t.atoms[0].e)
 		if !ok {
 			return nil, false
 		}
@@ -220,7 +220,7 @@ func boundSubst(e Expr, ctx Context, lower bool) (Expr, bool) {
 				bv = scalarValue(bv.hi)
 			}
 		}
-		out.addAll(bv.lo.scale(t.coef))
+		out = addScaled(out, bv.lo, t.coef)
 		changed = true
 	}
 	if !changed {

@@ -1,6 +1,7 @@
 package symbolic
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -36,7 +37,11 @@ func Simplify(e Expr) Expr {
 	if cacheOff.Load() {
 		return simplify1(e)
 	}
-	key := structuralKey(e)
+	// The key buffer is held across simplify1; nested Simplify calls
+	// take their own from the pool.
+	kb := getKeyBuf()
+	defer putKeyBuf(kb)
+	key := kb.render(e)
 	if v, ok := simpCache.get(key); ok {
 		return v
 	}
@@ -202,10 +207,7 @@ func foldConstantOffsets(args []Expr, isMin bool) (Expr, bool) {
 		if v.invalid || v.isRange {
 			return nil, false
 		}
-		diff := linsum{}
-		diff.addAll(v.lo)
-		diff.addAll(base.lo.scale(-1))
-		c, ok := diff.constVal()
+		c, ok := addScaled(v.lo, base.lo, -1).constVal()
 		if !ok {
 			return nil, false
 		}
@@ -218,64 +220,93 @@ func foldConstantOffsets(args []Expr, isMin bool) (Expr, bool) {
 
 // ---- linear normal form ----
 
-// term is coef * product(atoms); atoms are canonical non-constant factors
-// sorted by their string form.
+// atom is a canonical non-constant factor with its rendering, computed
+// once when the atom enters a term.
+type atom struct {
+	e   Expr
+	key string
+}
+
+// term is coef * product(atoms); atoms are sorted by their rendering and
+// key is those renderings joined by "*" (empty for the constant term).
+// Terms are never mutated once built, so sums and products share their
+// atom slices freely.
 type term struct {
 	coef  int64
-	atoms []Expr
+	atoms []atom
+	key   string
 }
 
-func (t term) key() string {
-	parts := make([]string, len(t.atoms))
-	for i, a := range t.atoms {
-		parts[i] = a.String()
-	}
-	return strings.Join(parts, "*")
+// atomTerm returns the single-atom term 1*a.
+func atomTerm(a Expr) term {
+	k := a.String()
+	return term{coef: 1, atoms: []atom{{e: a, key: k}}, key: k}
 }
 
-// linsum is a canonical linear combination: key -> term.
-type linsum map[string]term
+// linsum is a canonical linear combination: terms sorted by key, with
+// unique keys and nonzero coefficients. The constant term, whose key is
+// empty, sorts first. A linsum is immutable once built.
+type linsum []term
 
-func (l linsum) add(t term) {
-	if t.coef == 0 {
-		return
+// constLin returns the linear form of the constant c (empty for 0).
+func constLin(c int64) linsum {
+	if c == 0 {
+		return nil
 	}
-	k := t.key()
-	if prev, ok := l[k]; ok {
-		prev.coef += t.coef
-		if prev.coef == 0 {
-			delete(l, k)
-		} else {
-			l[k] = prev
+	return linsum{{coef: c}}
+}
+
+// addScaled returns a + c*b in one merge of the two sorted sums. Where a
+// key occurs in both, a's atoms are kept; terms whose coefficient
+// cancels to zero are dropped.
+func addScaled(a, b linsum, c int64) linsum {
+	if len(b) == 0 || c == 0 {
+		return a
+	}
+	if len(a) == 0 && c == 1 {
+		return b
+	}
+	out := make(linsum, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch cmp := strings.Compare(a[i].key, b[j].key); {
+		case cmp < 0:
+			out = append(out, a[i])
+			i++
+		case cmp > 0:
+			out = appendCoef(out, b[j], c*b[j].coef)
+			j++
+		default:
+			out = appendCoef(out, a[i], a[i].coef+c*b[j].coef)
+			i++
+			j++
 		}
-		return
 	}
-	l[k] = t
-}
-
-func (l linsum) addAll(o linsum) {
-	for _, t := range o {
-		l.add(t)
-	}
-}
-
-func (l linsum) scale(c int64) linsum {
-	out := linsum{}
-	for _, t := range l {
-		out.add(term{coef: t.coef * c, atoms: t.atoms})
+	out = append(out, a[i:]...)
+	for ; j < len(b); j++ {
+		out = appendCoef(out, b[j], c*b[j].coef)
 	}
 	return out
 }
+
+// appendCoef appends t with coefficient coef unless coef is zero.
+func appendCoef(l linsum, t term, coef int64) linsum {
+	if coef == 0 {
+		return l
+	}
+	t.coef = coef
+	return append(l, t)
+}
+
+func (l linsum) scale(c int64) linsum { return addScaled(nil, l, c) }
 
 func (l linsum) constVal() (int64, bool) {
 	switch len(l) {
 	case 0:
 		return 0, true
 	case 1:
-		for _, t := range l {
-			if len(t.atoms) == 0 {
-				return t.coef, true
-			}
+		if len(l[0].atoms) == 0 {
+			return l[0].coef, true
 		}
 	}
 	return 0, false
@@ -286,62 +317,72 @@ func mulLin(a, b linsum) (linsum, bool) {
 	if len(a)*len(b) > 256 {
 		return nil, false
 	}
-	// Each term's atoms are already sorted by string form, so every
-	// product is a keyed merge of two sorted lists. Atom keys render
-	// once per term here, not once per comparison inside a sort.
-	ta := keyedTerms(a)
-	tb := keyedTerms(b)
-	out := linsum{}
-	for _, x := range ta {
-		for _, y := range tb {
-			atoms := mergeSortedAtoms(x.t.atoms, x.keys, y.t.atoms, y.keys)
-			out.add(term{coef: x.t.coef * y.t.coef, atoms: atoms})
+	// A constant factor only rescales the other side's (already sorted,
+	// unique) terms.
+	if c, ok := a.constVal(); ok {
+		return b.scale(c), true
+	}
+	if c, ok := b.constVal(); ok {
+		return a.scale(c), true
+	}
+	out := make(linsum, 0, len(a)*len(b))
+	for _, x := range a {
+		for _, y := range b {
+			if coef := x.coef * y.coef; coef != 0 {
+				out = append(out, mulTerm(coef, x, y))
+			}
 		}
 	}
-	return out, true
-}
-
-// keyedTerm pairs a term with its pre-rendered atom keys.
-type keyedTerm struct {
-	t    term
-	keys []string
-}
-
-func keyedTerms(l linsum) []keyedTerm {
-	out := make([]keyedTerm, 0, len(l))
-	for _, t := range l {
-		ks := make([]string, len(t.atoms))
-		for i, a := range t.atoms {
-			ks[i] = a.String()
+	slices.SortStableFunc(out, func(p, q term) int { return strings.Compare(p.key, q.key) })
+	// Fold equal keys in order, as repeated addition would: a run that
+	// cancels to zero is dropped and the next equal key starts afresh.
+	n := 0
+	for _, t := range out {
+		if n > 0 && out[n-1].key == t.key {
+			out[n-1].coef += t.coef
+			if out[n-1].coef == 0 {
+				n--
+			}
+			continue
 		}
-		out = append(out, keyedTerm{t: t, keys: ks})
+		out[n] = t
+		n++
 	}
-	return out
+	return out[:n], true
 }
 
-// mergeSortedAtoms merges two atom lists that are each sorted by their
-// pre-rendered keys into one sorted list.
-func mergeSortedAtoms(xs []Expr, xk []string, ys []Expr, yk []string) []Expr {
-	if len(xs) == 0 {
-		return append([]Expr(nil), ys...)
+// mulTerm builds the product term coef*x.atoms*y.atoms. Each side's
+// atoms are already sorted, so the product is one merge of the two
+// lists by their pre-rendered keys.
+func mulTerm(coef int64, x, y term) term {
+	if len(x.atoms) == 0 {
+		return term{coef: coef, atoms: y.atoms, key: y.key}
 	}
-	if len(ys) == 0 {
-		return append([]Expr(nil), xs...)
+	if len(y.atoms) == 0 {
+		return term{coef: coef, atoms: x.atoms, key: x.key}
 	}
-	out := make([]Expr, 0, len(xs)+len(ys))
+	atoms := make([]atom, 0, len(x.atoms)+len(y.atoms))
 	i, j := 0, 0
-	for i < len(xs) && j < len(ys) {
-		if xk[i] <= yk[j] {
-			out = append(out, xs[i])
+	for i < len(x.atoms) && j < len(y.atoms) {
+		if x.atoms[i].key <= y.atoms[j].key {
+			atoms = append(atoms, x.atoms[i])
 			i++
 		} else {
-			out = append(out, ys[j])
+			atoms = append(atoms, y.atoms[j])
 			j++
 		}
 	}
-	out = append(out, xs[i:]...)
-	out = append(out, ys[j:]...)
-	return out
+	atoms = append(atoms, x.atoms[i:]...)
+	atoms = append(atoms, y.atoms[j:]...)
+	var b strings.Builder
+	b.Grow(len(x.key) + 1 + len(y.key))
+	for k, a := range atoms {
+		if k > 0 {
+			b.WriteByte('*')
+		}
+		b.WriteString(a.key)
+	}
+	return term{coef: coef, atoms: atoms, key: b.String()}
 }
 
 // value is the normal form of an expression: either a single linsum or a
@@ -362,13 +403,11 @@ func bottomValue() value { return value{invalid: true} }
 func nf(e Expr) value {
 	switch x := e.(type) {
 	case Int:
-		l := linsum{}
-		l.add(term{coef: x.Val})
-		return scalarValue(l)
+		return scalarValue(constLin(x.Val))
 	case Bottom:
 		return bottomValue()
 	case Add:
-		acc := scalarValue(linsum{})
+		acc := scalarValue(nil)
 		for _, t := range x.Terms {
 			acc = addValues(acc, nf(t))
 			if acc.invalid {
@@ -377,9 +416,7 @@ func nf(e Expr) value {
 		}
 		return acc
 	case Mul:
-		one := linsum{}
-		one.add(term{coef: 1})
-		acc := scalarValue(one)
+		acc := scalarValue(constLin(1))
 		for _, f := range x.Factors {
 			acc = mulValues(acc, nf(f))
 			if acc.invalid {
@@ -405,9 +442,7 @@ func nf(e Expr) value {
 		case KAdd, KMul, KRange, KInt:
 			return nf(s)
 		}
-		l := linsum{}
-		l.add(term{coef: 1, atoms: []Expr{s}})
-		return scalarValue(l)
+		return scalarValue(linsum{atomTerm(s)})
 	}
 }
 
@@ -416,10 +451,7 @@ func addValues(a, b value) value {
 		return bottomValue()
 	}
 	if !a.isRange && !b.isRange {
-		out := linsum{}
-		out.addAll(a.lo)
-		out.addAll(b.lo)
-		return scalarValue(out)
+		return scalarValue(addScaled(a.lo, b.lo, 1))
 	}
 	alo, ahi := a.lo, a.lo
 	if a.isRange {
@@ -429,13 +461,7 @@ func addValues(a, b value) value {
 	if b.isRange {
 		bhi = b.hi
 	}
-	lo := linsum{}
-	lo.addAll(alo)
-	lo.addAll(blo)
-	hi := linsum{}
-	hi.addAll(ahi)
-	hi.addAll(bhi)
-	return value{lo: lo, hi: hi, isRange: true}
+	return value{lo: addScaled(alo, blo, 1), hi: addScaled(ahi, bhi, 1), isRange: true}
 }
 
 func mulValues(a, b value) value {
@@ -473,11 +499,7 @@ func mulValues(a, b value) value {
 					mx = p
 				}
 			}
-			lo := linsum{}
-			lo.add(term{coef: mn})
-			hi := linsum{}
-			hi.add(term{coef: mx})
-			return value{lo: lo, hi: hi, isRange: true}
+			return value{lo: constLin(mn), hi: constLin(mx), isRange: true}
 		}
 		return bottomValue()
 	}
@@ -506,31 +528,18 @@ func emitValue(v value) Expr {
 	return Range{Lo: lo, Hi: hi}
 }
 
+// emitLin renders a linear form as an expression. The terms are already
+// in canonical order, constant first.
 func emitLin(l linsum) Expr {
-	if len(l) == 0 {
+	switch len(l) {
+	case 0:
 		return Zero
+	case 1:
+		return emitTerm(l[0])
 	}
-	keys := make([]string, 0, len(l))
-	var constTerm *term
-	for k, t := range l {
-		if len(t.atoms) == 0 {
-			tt := t
-			constTerm = &tt
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var out []Expr
-	if constTerm != nil {
-		out = append(out, NewInt(constTerm.coef))
-	}
-	for _, k := range keys {
-		t := l[k]
-		out = append(out, emitTerm(t))
-	}
-	if len(out) == 1 {
-		return out[0]
+	out := make([]Expr, len(l))
+	for i, t := range l {
+		out[i] = emitTerm(t)
 	}
 	return Add{Terms: out}
 }
@@ -540,15 +549,14 @@ func emitTerm(t term) Expr {
 		return NewInt(t.coef)
 	}
 	if t.coef == 1 && len(t.atoms) == 1 {
-		return t.atoms[0]
+		return t.atoms[0].e
 	}
 	factors := make([]Expr, 0, len(t.atoms)+1)
 	if t.coef != 1 {
 		factors = append(factors, NewInt(t.coef))
 	}
-	factors = append(factors, t.atoms...)
-	if len(factors) == 1 {
-		return factors[0]
+	for _, a := range t.atoms {
+		factors = append(factors, a.e)
 	}
 	return Mul{Factors: factors}
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // TestSimplifyAllocs pins the allocation cost of the hot canonicalization
-// paths: min/max dedup+ordering and product distribution. Both used to
-// re-render expression strings inside sort comparators, so allocations
-// scaled with the comparison count; keys are now rendered once per
-// element. The cache is disabled so the work (not a lookup) is measured.
+// paths: min/max dedup+ordering and product distribution. Keys are
+// rendered once per element (min/max) or once per atom (linear sums),
+// never per comparison or per add. The cache is disabled so the work
+// (not a lookup) is measured.
 func TestSimplifyAllocs(t *testing.T) {
 	prev := SetCacheEnabled(false)
 	defer SetCacheEnabled(prev)
@@ -39,12 +39,48 @@ func TestSimplifyAllocs(t *testing.T) {
 		Simplify(prod)
 	})
 	t.Logf("Simplify allocs/run: %.1f", avg)
-	// Measured ~1600 allocs/run with keyed sorts vs ~2010 for the
-	// comparator-rendering version. The bound sits between the two:
-	// headroom for runtime/toolchain noise, tight enough that a return
-	// to per-comparison String() calls trips it.
-	const maxAllocs = 1800
+	// Measured 1597 allocs/run with map-based linear sums and 498 with
+	// sorted-slice sums whose terms carry their atom renderings. The
+	// bound sits just above the latter, so a return to per-add key
+	// rendering or per-sum maps trips it.
+	const maxAllocs = 550
 	if avg > maxAllocs {
 		t.Fatalf("Simplify allocates %.1f allocs/run, want <= %d", avg, maxAllocs)
+	}
+}
+
+// TestMemoHitZeroAlloc pins the memo-cache hit path: once an expression
+// is cached, Simplify, CanonicalString and Equal build its key in a
+// pooled buffer and look it up without allocating.
+func TestMemoHitZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	prev := SetCacheEnabled(true)
+	defer SetCacheEnabled(prev)
+
+	i := NewSym("i")
+	var e Expr = Add{Terms: []Expr{
+		Mul{Factors: []Expr{NewInt(2), ArrayRef{Name: "rowptr", Indices: []Expr{AddExpr(i, NewInt(1))}}}},
+		NewLambda("j"),
+		Min{Args: []Expr{NewSym("n"), Range{Lo: Zero, Hi: NewSym("m")}}},
+		NewInt(-3),
+	}}
+	var f Expr = Add{Terms: []Expr{NewInt(-3), NewLambda("j"), ArrayRef{Name: "rowptr", Indices: []Expr{AddExpr(NewInt(1), i)}}}}
+	Simplify(e)
+	CanonicalString(e)
+	Equal(e, f)
+
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Simplify", func() { Simplify(e) }},
+		{"CanonicalString", func() { CanonicalString(e) }},
+		{"Equal", func() { Equal(e, f) }},
+	} {
+		if allocs := testing.AllocsPerRun(200, tc.fn); allocs != 0 {
+			t.Errorf("%s on a cached expression: %.1f allocs/run, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -209,19 +209,20 @@ func CoefficientOf(e Expr, sym string) (coef int64, rest Expr, ok bool) {
 	if v.invalid || v.isRange {
 		return 0, nil, false
 	}
-	restSum := linsum{}
+	var restSum linsum
 	for _, t := range v.lo {
 		hasSym := false
 		for _, a := range t.atoms {
-			if s, isSym := a.(Sym); isSym && s.Name == sym {
+			if s, isSym := a.e.(Sym); isSym && s.Name == sym {
 				hasSym = true
-			} else if ContainsSym(a, sym) {
+			} else if ContainsSym(a.e, sym) {
 				// sym hidden inside an opaque atom: not linear.
 				return 0, nil, false
 			}
 		}
 		if !hasSym {
-			restSum.add(t)
+			// A subset of a sorted, unique sum stays sorted and unique.
+			restSum = append(restSum, t)
 			continue
 		}
 		if len(t.atoms) != 1 {

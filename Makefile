@@ -6,15 +6,15 @@
 #   make fmt     — fail if any file is not gofmt-clean
 #   make race    — go test -race ./... (the concurrent driver, the
 #                  sharded symbolic cache, the parallel loop driver of
-#                  the compiled engine, and the serving layer must stay
+#                  the bytecode VM, and the serving layer must stay
 #                  race-clean)
 #   make serve-smoke — start the subsubd daemon, fire one request from
 #                  examples/daemon over real loopback HTTP twice (miss
 #                  then content-addressed hit), validate the JSON and
 #                  /metrics, and shut down gracefully
 #   make fuzz-smoke — 5s whole-pipeline fuzz (FuzzAnalyze) as a gate step
-#   make vm-differential — three-engine corpus bit-identity (tree vs
-#                  compiled vs bytecode VM) under the race detector
+#   make vm-differential — two-engine corpus bit-identity (tree oracle
+#                  vs bytecode VM) under the race detector
 #   make codegen-differential — native-code differential: emit every
 #                  corpus kernel as a standalone parallel Go package,
 #                  go vet + build it with -race, run serial / 8-worker /
@@ -62,15 +62,15 @@ race:
 
 # One iteration per benchmark: catches compile-pass and harness
 # regressions in the gate without waiting for stable numbers.
-# BenchmarkInterp covers all three engines (tree, compiled, vm), so the
-# bytecode VM is exercised end to end here too.
+# BenchmarkInterp covers both engines (tree, vm), so the bytecode VM is
+# exercised end to end here too.
 benchsmoke:
 	$(GO) test -run NONE -bench 'BenchmarkInterp' -benchtime=1x ./internal/corpus/
 
-# Three-engine corpus bit-identity: the tree oracle, the closure engine
-# and the bytecode VM must produce byte-identical outputs over the
-# Table-1 corpus plus the scatter extension, serial and multi-worker,
-# under the race detector; the VM fuzz seed corpus must replay clean.
+# Two-engine corpus bit-identity: the tree oracle and the bytecode VM
+# must produce byte-identical outputs over the Table-1 corpus plus the
+# scatter extension, serial and multi-worker, under the race detector;
+# the VM fuzz seed corpus must replay clean.
 vm-differential:
 	$(GO) test -race -run 'TestDifferential|TestScatterSerialVsParallel|TestVM' \
 		./internal/corpus/ ./internal/interp/

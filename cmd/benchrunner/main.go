@@ -7,12 +7,12 @@
 //	benchrunner [-experiment table1|fig13|fig14|fig15|fig16|fig17|ablation|compiletime|runtime|serve|incr|all] [-quick]
 //
 // The runtime experiment measures the real execution engines (tree
-// oracle vs compiled) over the corpus workloads and writes the rows to
-// -runtime-json (default BENCH_runtime.json). The serve experiment
-// drives an open-loop Zipf-skewed load against an in-process 3-node
-// subsubd fleet — healthy, then with one peer killed — and writes
-// latency percentiles, cache hit rate, and fallback rate to
-// -serve-json (default BENCH_serve.json). The incr experiment measures
+// oracle, bytecode VM, native code) over the corpus workloads and writes
+// the rows to -runtime-json (default BENCH_runtime.json). The serve
+// experiment drives an open-loop Zipf-skewed load against an in-process
+// 3-node subsubd fleet — healthy, then with one peer killed — and writes
+// latency percentiles, cache hit rate, and fallback rate to -serve-json
+// (default BENCH_serve.json). The incr experiment measures
 // cold vs warm re-analysis latency with the function-granular unit
 // store (1 edited function of N) and writes the reuse speedup to
 // -incr-json (default BENCH_incr.json).

@@ -45,13 +45,12 @@
 // the same convention batch analysis errors follow.
 //
 // -engine runs an interpreter smoke on each successfully analyzed file:
-// the source is compiled for the named engine (compiled, vm or tree)
-// and its zero-argument functions are executed under a step budget and
+// the source is compiled for the named engine (vm or tree) and its
+// zero-argument functions are executed under a step budget and
 // deadline, so engine typos and code-generation faults fail the file
-// like any analysis error. Engine precedence mirrors the interpreter:
-// an explicit name selects that engine, the empty string (the default)
-// skips the smoke entirely, and inside the interpreter an empty
-// Machine.Interp aliases "compiled".
+// like any analysis error. An explicit name selects that engine; the
+// empty string (the default) skips the smoke entirely, although inside
+// the interpreter an empty Machine.Interp selects the VM.
 package main
 
 import (

@@ -4,58 +4,77 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/codegen"
 	"repro/internal/corpus"
 	"repro/internal/phase2"
+	"repro/internal/version"
 )
 
 // RuntimeRow is one machine-readable measurement of the real execution
 // engines over a corpus workload: wall-clock seconds for one workload
-// run under (engine, workers), plus the speedup against the tree-walking
-// oracle at the same worker count.
+// run under (engine, workers), the min and median over the repetitions,
+// plus the median speedup against the tree-walking oracle at the same
+// worker count.
 type RuntimeRow struct {
 	Kernel        string  `json:"kernel"`
 	Engine        string  `json:"engine"`
 	Workers       int     `json:"workers"`
-	Seconds       float64 `json:"seconds"`
+	Reps          int     `json:"reps"`
+	MinSeconds    float64 `json:"min_seconds"`
+	MedianSeconds float64 `json:"median_seconds"`
 	SpeedupVsTree float64 `json:"speedup_vs_tree"`
+	// Oversubscribed marks rows with more workers than the host can run
+	// at once (min of NumCPU and GOMAXPROCS): they measure
+	// oversubscription, not scaling.
+	Oversubscribed bool `json:"oversubscribed"`
 }
 
 // RuntimeReport is the BENCH_runtime.json document: the perf trajectory
-// of the execution substrate across PRs.
+// of the execution substrate across PRs, with the host it ran on.
 type RuntimeReport struct {
-	GOOS   string       `json:"goos"`
-	GOARCH string       `json:"goarch"`
-	Cores  int          `json:"cores"`
-	Rows   []RuntimeRow `json:"rows"`
+	GOOS       string       `json:"goos"`
+	GOARCH     string       `json:"goarch"`
+	Cores      int          `json:"cores"`
+	GOMAXPROCS int          `json:"gomaxprocs"`
+	GoVersion  string       `json:"go_version"`
+	Commit     string       `json:"commit"`
+	Rows       []RuntimeRow `json:"rows"`
 }
 
-// runtimeKernels are the workloads the runtime experiment measures (the
-// three headline subscripted-subscript kernels plus one classical one).
-var runtimeKernels = []string{"AMGmk", "UA(transf)", "SDDMM", "CG"}
+// runtimeKernels are the workloads the runtime experiment measures: the
+// six kernels of the benchmark's exec and native workloads.
+var runtimeKernels = []string{"AMGmk", "SDDMM", "UA(transf)", "CHOLMOD-Supernodal", "Scatter-Shuffle", "CG"}
+
+// runtimeEngines are the measured tiers: the tree oracle, the bytecode
+// VM (the default interpreter engine) and native code.
+var runtimeEngines = []string{"tree", "vm", "native"}
 
 // runtimeWorkers are the worker counts every engine is measured at.
 var runtimeWorkers = []int{1, 2, 8}
 
 // Runtime measures real (not simulated) execution time of the corpus
-// workloads across the engine tiers — tree oracle, closure-compiled,
-// bytecode VM, and the native tier (internal/codegen output built with
-// the Go compiler and timed inside the binary) — serial and parallel,
-// prints a table, and — when jsonPath is non-empty — writes the rows
-// there as machine-readable JSON. The workload is rebuilt from scratch
-// for every repetition so repeated runs never feed a kernel its own
-// output.
+// workloads across the engine tiers — tree oracle, bytecode VM, and the
+// native tier (internal/codegen output built with the Go compiler and
+// timed inside the binary) — serial and parallel, prints a table, and —
+// when jsonPath is non-empty — writes the rows there as machine-readable
+// JSON. The workload is rebuilt from scratch for every repetition so
+// repeated runs never feed a kernel its own output.
 func (h *Harness) Runtime(jsonPath string) (*RuntimeReport, error) {
-	scale, reps := corpus.ScaleBench, 3
+	scale, reps := corpus.ScaleBench, 9
 	if h.Quick {
 		scale, reps = corpus.ScaleQuick, 1
 	}
-	rep := &RuntimeReport{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, Cores: runtime.NumCPU()}
+	rep := &RuntimeReport{
+		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, Cores: runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version(), Commit: version.Revision(),
+	}
+	parallel := min(rep.Cores, rep.GOMAXPROCS)
 
-	h.printf("Runtime: real execution, tree oracle vs compiled vs vm vs native Go (best of %d)\n", reps)
-	h.printf("%-12s %-9s %-8s %12s %14s\n", "kernel", "engine", "workers", "seconds", "vs tree")
+	h.printf("Runtime: real execution, tree oracle vs vm vs native Go (min and median of %d)\n", reps)
+	h.printf("%-19s %-7s %-8s %12s %12s %10s\n", "kernel", "engine", "workers", "min s", "median s", "vs tree")
 	for _, name := range runtimeKernels {
 		b := corpus.ByName(name)
 		bin, cleanup, err := buildNative(b)
@@ -63,9 +82,9 @@ func (h *Harness) Runtime(jsonPath string) (*RuntimeReport, error) {
 			return nil, err
 		}
 		treeSecs := map[int]float64{}
-		for _, engine := range []string{"tree", "compiled", "vm", "native"} {
+		for _, engine := range runtimeEngines {
 			for _, workers := range runtimeWorkers {
-				var secs float64
+				var secs []float64
 				var err error
 				if engine == "native" {
 					secs, err = measureNative(b, bin, workers, scale, reps)
@@ -76,17 +95,25 @@ func (h *Harness) Runtime(jsonPath string) (*RuntimeReport, error) {
 					cleanup()
 					return nil, err
 				}
+				slices.Sort(secs)
+				med := median(secs)
 				speedup := 1.0
 				if engine == "tree" {
-					treeSecs[workers] = secs
-				} else if secs > 0 {
-					speedup = treeSecs[workers] / secs
+					treeSecs[workers] = med
+				} else if med > 0 {
+					speedup = treeSecs[workers] / med
 				}
-				rep.Rows = append(rep.Rows, RuntimeRow{
-					Kernel: name, Engine: engine, Workers: workers,
-					Seconds: secs, SpeedupVsTree: speedup,
-				})
-				h.printf("%-12s %-9s %-8d %12.6f %13.2fx\n", name, engine, workers, secs, speedup)
+				row := RuntimeRow{
+					Kernel: name, Engine: engine, Workers: workers, Reps: reps,
+					MinSeconds: secs[0], MedianSeconds: med, SpeedupVsTree: speedup,
+					Oversubscribed: workers > parallel,
+				}
+				rep.Rows = append(rep.Rows, row)
+				note := ""
+				if row.Oversubscribed {
+					note = "  oversubscribed"
+				}
+				h.printf("%-19s %-7s %-8d %12.6f %12.6f %9.2fx%s\n", name, engine, workers, row.MinSeconds, med, speedup, note)
 			}
 		}
 		cleanup()
@@ -105,32 +132,39 @@ func (h *Harness) Runtime(jsonPath string) (*RuntimeReport, error) {
 	return rep, nil
 }
 
+// median of an ascending, non-empty sample.
+func median(sorted []float64) float64 {
+	n := len(sorted)
+	if n%2 == 1 {
+		return sorted[n/2]
+	}
+	return (sorted[n/2-1] + sorted[n/2]) / 2
+}
+
 // measureRuntime times one (kernel, engine, workers) cell: the machine
 // is built and warmed once (plan + compile outside the timed section),
-// then each repetition runs a freshly built workload.
-func measureRuntime(b *corpus.Benchmark, engine string, workers int, scale corpus.Scale, reps int) (float64, error) {
+// then each repetition runs a freshly built workload. It returns the
+// seconds of every repetition.
+func measureRuntime(b *corpus.Benchmark, engine string, workers int, scale corpus.Scale, reps int) ([]float64, error) {
 	warm := corpus.NewWork(b, scale)
 	m, err := warm.NewMachine(workers)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	m.Interp = engine
 	if err := warm.Run(m); err != nil {
-		return 0, err
+		return nil, err
 	}
-	best := 0.0
-	for r := 0; r < reps; r++ {
+	secs := make([]float64, reps)
+	for r := range secs {
 		w := corpus.NewWork(b, scale)
 		t0 := time.Now()
 		if err := w.Run(m); err != nil {
-			return 0, err
+			return nil, err
 		}
-		secs := time.Since(t0).Seconds()
-		if r == 0 || secs < best {
-			best = secs
-		}
+		secs[r] = time.Since(t0).Seconds()
 	}
-	return best, nil
+	return secs, nil
 }
 
 // buildNative emits the kernel's analyzed plan as a Go main package and
@@ -162,22 +196,21 @@ func buildNative(b *corpus.Benchmark) (string, func(), error) {
 // measureNative times the generated binary on freshly built workloads.
 // The binary reports the call-sequence wall time itself, so process
 // startup and JSON codec costs stay outside the measurement, mirroring
-// how the interpreter cells time only w.Run.
-func measureNative(b *corpus.Benchmark, bin string, workers int, scale corpus.Scale, reps int) (float64, error) {
-	best := 0.0
-	for r := 0; r < reps; r++ {
+// how the interpreter cells time only w.Run. It returns the seconds of
+// every repetition.
+func measureNative(b *corpus.Benchmark, bin string, workers int, scale corpus.Scale, reps int) ([]float64, error) {
+	secs := make([]float64, reps)
+	for r := range secs {
 		w := corpus.NewWork(b, scale)
 		in, err := codegen.InputFromWork(w, workers, nil)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		res, err := codegen.RunBinary(bin, in)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		if r == 0 || res.Seconds < best {
-			best = res.Seconds
-		}
+		secs[r] = res.Seconds
 	}
-	return best, nil
+	return secs, nil
 }

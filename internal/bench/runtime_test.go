@@ -18,13 +18,19 @@ func TestRuntimeExperimentQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(runtimeKernels) * 4 * len(runtimeWorkers) // engines x worker counts
+	want := len(runtimeKernels) * len(runtimeEngines) * len(runtimeWorkers)
 	if len(rep.Rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rep.Rows), want)
 	}
+	if rep.GOMAXPROCS <= 0 || rep.GoVersion == "" || rep.Commit == "" {
+		t.Errorf("host metadata incomplete: gomaxprocs %d, go %q, commit %q", rep.GOMAXPROCS, rep.GoVersion, rep.Commit)
+	}
 	for _, row := range rep.Rows {
-		if row.Seconds <= 0 {
-			t.Errorf("%s/%s@%d: non-positive seconds %v", row.Kernel, row.Engine, row.Workers, row.Seconds)
+		if row.MinSeconds <= 0 || row.MedianSeconds < row.MinSeconds {
+			t.Errorf("%s/%s@%d: min %v, median %v", row.Kernel, row.Engine, row.Workers, row.MinSeconds, row.MedianSeconds)
+		}
+		if over := row.Workers > min(rep.Cores, rep.GOMAXPROCS); row.Oversubscribed != over {
+			t.Errorf("%s/%s@%d: oversubscribed = %v, want %v", row.Kernel, row.Engine, row.Workers, row.Oversubscribed, over)
 		}
 		if row.SpeedupVsTree <= 0 {
 			t.Errorf("%s/%s@%d: non-positive speedup %v", row.Kernel, row.Engine, row.Workers, row.SpeedupVsTree)

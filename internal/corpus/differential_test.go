@@ -8,7 +8,7 @@ import (
 	"repro/internal/phase2"
 )
 
-// runEngines executes the benchmark's workload under the given engine
+// runEngine executes the benchmark's workload under the given engine
 // and worker count and returns the array end state.
 func runEngine(t *testing.T, b *Benchmark, engine string, workers int) (map[string]*interp.Array, *interp.Machine) {
 	t.Helper()
@@ -55,8 +55,8 @@ func requireIdentical(t *testing.T, want, got map[string]*interp.Array, label st
 }
 
 // TestDifferentialEngines runs every corpus benchmark under the tree
-// oracle, the compiled engine, and the bytecode VM, serially and at
-// Workers=8, and requires bit-identical end states per worker count.
+// oracle and the bytecode VM, serially and at Workers=8, and requires
+// bit-identical end states per worker count.
 // (Serial and parallel float results may legitimately differ in low
 // bits — the contract is engine identity, not schedule identity.)
 func TestDifferentialEngines(t *testing.T) {
@@ -65,10 +65,8 @@ func TestDifferentialEngines(t *testing.T) {
 			t.Parallel()
 			for _, workers := range []int{1, 8} {
 				ref, _ := runEngine(t, b, "tree", workers)
-				for _, engine := range []string{"compiled", "vm"} {
-					got, _ := runEngine(t, b, engine, workers)
-					requireIdentical(t, ref, got, b.Name+"/"+engine)
-				}
+				got, _ := runEngine(t, b, "vm", workers)
+				requireIdentical(t, ref, got, b.Name+"/vm")
 			}
 		})
 	}
@@ -87,7 +85,7 @@ func TestDifferentialParallelExercised(t *testing.T) {
 		if b.Expected[phase2.LevelNew] == None {
 			continue
 		}
-		for _, engine := range []string{"tree", "compiled", "vm"} {
+		for _, engine := range []string{"tree", "vm"} {
 			_, m := runEngine(t, b, engine, 8)
 			if m.Stats.ParallelRegions == 0 {
 				t.Errorf("%s [%s@8]: no parallel regions executed", name, engine)
@@ -105,7 +103,7 @@ func TestScatterSerialVsParallel(t *testing.T) {
 	for _, b := range Scatter() {
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, engine := range []string{"tree", "compiled", "vm"} {
+			for _, engine := range []string{"tree", "vm"} {
 				ref, _ := runEngine(t, b, engine, 1)
 				got, m := runEngine(t, b, engine, 8)
 				requireIdentical(t, ref, got, b.Name+"/"+engine)

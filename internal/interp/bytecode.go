@@ -1,19 +1,19 @@
 package interp
 
 // The bytecode engine's compiler. It lowers each function to a flat
-// []Instr over the same slot resolution the closure engine uses (the
-// fnCompiler symbol tables), so scalar operands become indices into the
-// frame's typed columns (ints / flts), array references become array-bank
-// slots, and control flow becomes pc jumps. Expression temporaries live
-// in registers appended after the named slots of the same columns, so a
+// []Instr over the slot resolution of compile.go (the fnCompiler symbol
+// tables), so scalar operands become indices into the frame's typed
+// columns (ints / flts), array references become array-bank slots, and
+// control flow becomes pc jumps. Expression temporaries live in
+// registers appended after the named slots of the same columns, so a
 // frame is one contiguous struct-of-arrays store and the dispatch loop
 // (vm.go) touches no interface values and allocates nothing at steady
 // state.
 //
-// Semantics mirror the closure engine instruction for instruction — same
-// evaluation order, same error strings, same documented flat-slot
-// relaxation versus the tree walker — so the corpus differential layer
-// can pin all three engines bit-for-bit.
+// Semantics mirror the tree walker — same evaluation order, same error
+// strings — up to the documented flat-slot relaxation (see compile.go),
+// so the corpus differential layer can pin the VM to the tree oracle
+// bit-for-bit.
 
 import (
 	"fmt"
@@ -138,7 +138,7 @@ const (
 	opSetCF // cells[B].F = flts[A]
 
 	// Arrays. The fused 1-D forms check nil + rank + bounds and branch on
-	// the array's dynamic element type, exactly like the closure engine.
+	// the array's dynamic element type, exactly like the unfused forms.
 	opALoad1I  // ints[A] = arrs[B][ints[C]]  (Aux: unknown-array msg)
 	opALoad1F  // flts[A] = arrs[B][ints[C]]
 	opAStore1I // arrs[B][ints[C]] = ints[A]
@@ -281,7 +281,9 @@ type vparloop struct {
 	reds     []redSlot
 }
 
-// bfunc is one bytecode-compiled function.
+// bfunc is one bytecode-compiled function. The frame layout (slot
+// counts, parameter and entry bindings) is filled by slot resolution;
+// the int and float counts then grow by the temp registers.
 type bfunc struct {
 	name       string
 	started    bool // compilation begun (breaks recursion cycles)
@@ -308,19 +310,16 @@ func (bf *bfunc) newFrame() *frame { return bf.pool.Get().(*frame) }
 
 func (bf *bfunc) release(fr *frame) { bf.pool.Put(fr) }
 
-// bindEntry mirrors cfunc.bindEntry for VM frames (including the
-// scalar-column zeroing that keeps ill-formed read-before-assignment
-// programs deterministic across engines).
+// bindEntry prepares a fresh (possibly pooled) frame: array slots are
+// cleared and globals re-resolved, so staleness never leaks across calls.
+// Scalar columns are zeroed too — declared locals re-zero at their
+// DeclStmt anyway, but implicit locals read before their first
+// assignment (ill-formed, yet executable) must observe a deterministic
+// zero rather than pooled garbage, on every call.
 func (bf *bfunc) bindEntry(fr *frame, m *Machine) {
-	for i := range fr.ints {
-		fr.ints[i] = 0
-	}
-	for i := range fr.flts {
-		fr.flts[i] = 0
-	}
-	for i := range fr.arrs {
-		fr.arrs[i] = nil
-	}
+	clear(fr.ints)
+	clear(fr.flts)
+	clear(fr.arrs)
 	for _, ea := range bf.entryArrs {
 		fr.arrs[ea.slot] = m.Arrays[ea.name]
 	}
@@ -329,20 +328,17 @@ func (bf *bfunc) bindEntry(fr *frame, m *Machine) {
 	}
 }
 
-// bytecodeProgram caches the bytecode form per plan (pointer-keyed, like
-// compiledProgram).
+// bytecodeProgram caches the bytecode form of a machine's program for a
+// specific plan (plans are immutable once built; the pointer is the
+// cache key).
 type bytecodeProgram struct {
+	m     *Machine
 	plan  *parallelize.Plan
 	funcs map[string]*bfunc
-	c     *compiler
 }
 
 func compileBytecode(m *Machine) *bytecodeProgram {
-	// Ride on the closure engine's resolution pass: a throwaway compiler
-	// shell gives each bcCompiler a fully resolved fnCompiler without
-	// building any closures.
-	c := &compiler{m: m, funcs: map[string]*cfunc{}}
-	bp := &bytecodeProgram{plan: m.Plan, funcs: map[string]*bfunc{}, c: c}
+	bp := &bytecodeProgram{m: m, plan: m.Plan, funcs: map[string]*bfunc{}}
 	// Register shells first so recursive and mutual calls resolve.
 	for _, fn := range m.Prog.Funcs {
 		if fn.Body != nil {
@@ -367,27 +363,24 @@ func (bp *bytecodeProgram) ensure(fn *cminus.FuncDecl) *bfunc {
 		return bf
 	}
 	bf.started = true
-	cf := newCfunc(fn)
 	fc := &fnCompiler{
-		c:       bp.c,
+		m:       bp.m,
 		fn:      fn,
-		cf:      cf,
+		bf:      bf,
 		scalars: map[string]*scalarSym{},
 		arrays:  map[string]*arraySym{},
-		fp:      bp.c.funcPlan(fn.Name),
+		fp:      bp.m.funcPlan(fn.Name),
 	}
-	fc.resolve()
-	// Publish the parameter layout immediately: recursive call sites in
+	// Resolution publishes the parameter layout: recursive call sites in
 	// this very body bind against it.
-	bf.params = cf.params
+	fc.resolve()
 	bc := &bcCompiler{fc: fc, bf: bf, bp: bp}
 	// Temp registers live above the named slots. Resolution fixed the
 	// scalar counts; array slots can still grow during emission (lazy
-	// entry arrays), so those are re-read after.
-	bc.tI = int32(cf.nInts)
-	bc.maxI = bc.tI
-	bc.tF = int32(cf.nFlts)
-	bc.maxF = bc.tF
+	// entry arrays).
+	bc.namedI, bc.namedF = int32(bf.nInts), int32(bf.nFlts)
+	bc.tI, bc.maxI = bc.namedI, bc.namedI
+	bc.tF, bc.maxF = bc.namedF, bc.namedF
 	bc.block(fn.Body)
 	bc.emit(Instr{Op: opRetV})
 	bc.flushSegs()
@@ -396,10 +389,6 @@ func (bp *bytecodeProgram) ensure(fn *cminus.FuncDecl) *bfunc {
 	bf.code = bc.code
 	bf.nInts = int(bc.maxI)
 	bf.nFlts = int(bc.maxF)
-	bf.nCells = cf.nCells
-	bf.nArrs = cf.nArrs
-	bf.entryArrs = cf.entryArrs
-	bf.entryCells = cf.entryCells
 	bf.pool.New = func() any {
 		return &frame{
 			ints:  make([]int64, bf.nInts),
@@ -418,10 +407,12 @@ type bcCompiler struct {
 	bp   *bytecodeProgram
 	code []Instr
 
-	// Temp-register watermarks: tI/tF are the next free registers, maxI/
+	// Temp-register watermarks: namedI/namedF are the named-slot counts
+	// (the first temp registers), tI/tF the next free registers, maxI/
 	// maxF the high-water marks that size the frame columns.
-	tI, maxI int32
-	tF, maxF int32
+	namedI, namedF int32
+	tI, maxI       int32
+	tF, maxF       int32
 
 	// labels[i] is the resolved pc (or -1) and heads[i] the patch chain
 	// through Instr.prev of jumps targeting label i.
@@ -470,7 +461,7 @@ func (bc *bcCompiler) fuse(in Instr) (int32, bool) {
 		return 0, false
 	}
 	prev := &bc.code[p]
-	nInts := int32(bc.fc.cf.nInts)
+	nInts := bc.namedI
 	switch in.Op {
 	case opALoad1I, opALoad1F, opAStore1I, opAStore1F:
 		if prev.Op == opALoad1I && prev.A == in.C && prev.A >= nInts {
@@ -520,14 +511,14 @@ func (bc *bcCompiler) fuse(in Instr) (int32, bool) {
 	case opFAdd:
 		// Accumulate-into-self only: a+b and b+a differ in NaN payload
 		// propagation, so the swapped form is not bit-safe to rewrite.
-		if in.A == in.B && prev.Op == opFMul && prev.A == in.C && prev.A >= int32(bc.fc.cf.nFlts) {
+		if in.A == in.B && prev.Op == opFMul && prev.A == in.C && prev.A >= bc.namedF {
 			// Cascade: when the product's second factor was itself just
 			// loaded into a dead temp, fold load+mul+add into one op. The
 			// loaded value must be the C operand (order preserved) and must
 			// not double as the B operand. Popping code[p] is safe: labels
 			// never point past bc.barrier <= p-1, and code[p] is not a jump
 			// so no patch chain references it.
-			if p-1 >= bc.barrier && prev.B != prev.C && prev.C >= int32(bc.fc.cf.nFlts) {
+			if p-1 >= bc.barrier && prev.B != prev.C && prev.C >= bc.namedF {
 				switch pr2 := &bc.code[p-1]; {
 				case pr2.Op == opALoad1F && pr2.A == prev.C:
 					*pr2 = Instr{Op: opFMulAccL, A: in.A, B: prev.B, C: pr2.C,
@@ -713,8 +704,9 @@ func (bc *bcCompiler) global(g *Value) int32 {
 	return int32(len(bc.bf.globals) - 1)
 }
 
-// errOp emits an unconditional runtime error (the lazy compile-known
-// failures the closure engine defers into throwing closures).
+// errOp emits an unconditional runtime error: failures known at compile
+// time still throw lazily, when the faulty code runs, so dead code stays
+// inert.
 func (bc *bcCompiler) errOp(format string, args ...any) {
 	bc.emit(Instr{Op: opErr, Aux: bc.str(fmt.Sprintf(format, args...))})
 }
@@ -743,7 +735,7 @@ func containsIncDec(e cminus.Expr) bool {
 // freezeI copies r to a temp when r is a named int slot and the
 // yet-to-be-emitted expression after can mutate scalar slots.
 func (bc *bcCompiler) freezeI(r int32, after cminus.Expr) int32 {
-	if r < int32(bc.fc.cf.nInts) && containsIncDec(after) {
+	if r < bc.namedI && containsIncDec(after) {
 		t := bc.allocI()
 		bc.emit(Instr{Op: opIMove, A: t, B: r})
 		return t
@@ -752,7 +744,7 @@ func (bc *bcCompiler) freezeI(r int32, after cminus.Expr) int32 {
 }
 
 func (bc *bcCompiler) freezeF(r int32, after cminus.Expr) int32 {
-	if r < int32(bc.fc.cf.nFlts) && containsIncDec(after) {
+	if r < bc.namedF && containsIncDec(after) {
 		t := bc.allocF()
 		bc.emit(Instr{Op: opFMove, A: t, B: r})
 		return t
@@ -784,7 +776,7 @@ func (bc *bcCompiler) emitF(e cminus.Expr) int32 {
 	return dst
 }
 
-// asIReg compiles e as int like fnCompiler.asI (truncating floats).
+// asIReg compiles e as int, truncating float results.
 func (bc *bcCompiler) asIReg(e cminus.Expr) int32 {
 	if bc.fc.typeOf(e) == tInt {
 		return bc.emitI(e)
@@ -1225,9 +1217,8 @@ func (bc *bcCompiler) scalarReadFTo(id *cminus.Ident, dst int32) {
 	}
 }
 
-// scalarStore compiles "s = rhs" with the RHS at the target's type,
-// matching fnCompiler.scalarStore (including ignoring the RHS entirely
-// for unbound targets).
+// scalarStore compiles "s = rhs" with the RHS at the target's type
+// (ignoring the RHS entirely for unbound targets, which throw).
 func (bc *bcCompiler) scalarStore(s *scalarSym, rhs cminus.Expr) {
 	switch s.kind {
 	case syLocalInt:
@@ -1259,9 +1250,9 @@ func (bc *bcCompiler) scalarStore(s *scalarSym, rhs cminus.Expr) {
 	}
 }
 
-// scalarRefI mirrors fnCompiler.scalarRefI: raw int load/store emitters
-// for compound assignment and ++/--. ok is false for kinds refI rejects
-// (float locals, unbound), which throw at runtime.
+// refLoadI/refStoreI are the raw int load/store emitters for compound
+// assignment and ++/--. ok is false for the kinds they reject (float
+// locals, unbound), which throw at runtime.
 func (bc *bcCompiler) refLoadI(s *scalarSym, dst int32) bool {
 	switch s.kind {
 	case syLocalInt:
@@ -1415,12 +1406,14 @@ func (bc *bcCompiler) pureExpr(e cminus.Expr) bool {
 	return false // index (bounds), call (anything)
 }
 
-// arraySlotFor resolves (lazily binding) the array symbol like arrayAt.
+// arraySlotFor resolves the array symbol of name; an array the
+// resolution pass did not see gets an entry slot, bound from m.Arrays at
+// call entry.
 func (bc *bcCompiler) arraySlotFor(name string) *arraySym {
 	sym := bc.fc.arrays[name]
 	if sym == nil {
-		sym = bc.fc.newArraySlot(name, false, false)
-		bc.fc.cf.entryArrs = append(bc.fc.cf.entryArrs, entryArr{slot: sym.slot, name: name})
+		sym = bc.fc.newArraySlot(name, false)
+		bc.bf.entryArrs = append(bc.bf.entryArrs, entryArr{slot: sym.slot, name: name})
 	}
 	return sym
 }
@@ -1430,12 +1423,11 @@ func (bc *bcCompiler) arraySlotFor(name string) *arraySym {
 // holding the index (1-D) or flattened offset (multi-dim). ok=false
 // means an unsupported index shape whose error was already emitted.
 //
-// Evaluation-order contract (mirroring fnCompiler.arrayAt): the closure
-// engine checks nil + rank before evaluating any subscript. When a
-// subscript can itself throw, a standalone opARank-equivalent ordering
-// is preserved by emitting the nil+rank-checking opAIdx0 path; for pure
-// subscripts the order is unobservable and the fused forms check
-// everything themselves.
+// Evaluation-order contract: nil + rank are checked before any
+// subscript is evaluated. When a subscript can itself throw, a
+// standalone opARank-equivalent ordering is preserved by emitting the
+// nil+rank-checking opAIdx0 path; for pure subscripts the order is
+// unobservable and the fused forms check everything themselves.
 func (bc *bcCompiler) arrayAddr(e *cminus.IndexExpr, pos cminus.Position) (slot int32, one bool, idx int32, aux int32, ok bool) {
 	name, idxExprs, shapeOK := cminus.ArrayBase(e)
 	if !shapeOK {
@@ -1507,7 +1499,7 @@ func (bc *bcCompiler) arrayReadTo(e *cminus.IndexExpr, dst int32, wantFloat bool
 // ---- calls ----
 
 func (bc *bcCompiler) emitCallTo(x *cminus.CallExpr, want ctyp, dst int32) {
-	if fn := bc.fc.c.m.Prog.Func(x.Fun); fn != nil && fn.Body != nil {
+	if fn := bc.fc.m.Prog.Func(x.Fun); fn != nil && fn.Body != nil {
 		bc.emitUserCallTo(x, fn, want, dst)
 		return
 	}
@@ -1579,8 +1571,8 @@ func (bc *bcCompiler) emitUserCallTo(x *cminus.CallExpr, fn *cminus.FuncDecl, wa
 		case psArr:
 			id, ok := x.Args[i].(*cminus.Ident)
 			if !ok {
-				// Matches the closure engine's bind-time error: earlier
-				// bindings (argument effects) have already run.
+				// A bind-time error: earlier bindings (argument
+				// effects) have already run.
 				bc.errOp("interp: array argument %d of %s must be an identifier at %s",
 					i, fn.Name, x.P)
 				return
@@ -1662,8 +1654,8 @@ func (bc *bcCompiler) stmt(s cminus.Stmt) {
 	case *cminus.ForStmt:
 		bc.emitFor(x)
 	case *cminus.WhileStmt:
-		// Rotated, mirroring the compiled engine's order (condition first,
-		// then the interrupt poll, then the body): the entry guard tests
+		// Rotated, keeping the source order (condition first, then the
+		// interrupt poll, then the body): the entry guard tests
 		// the condition once, the bottom branch re-tests it and jumps back
 		// if still true. continue lands on the bottom test, so each pass
 		// is still cond → poll → body — only the opJump per iteration is
@@ -1891,8 +1883,8 @@ func (bc *bcCompiler) assign(x *cminus.AssignStmt) {
 		switch x.Op {
 		case "+", "-", "*", "/", "%":
 		default:
-			// Unknown combine: the closure engine evaluates RHS and the
-			// address, then throws from the combine table.
+			// Unknown combine: evaluate the RHS and the address, then
+			// throw, as a combine-table lookup at run time would.
 			if bc.fc.typeOf(x.RHS) == tFloat {
 				bc.emitF(x.RHS)
 			} else {
@@ -2095,8 +2087,8 @@ func (bc *bcCompiler) flushSegs() {
 		bc.bf.pars[seg.pidx].bodyPC = bc.here()
 		bc.barrier = bc.here() // the parallel driver jumps here
 		// Worker frames share the named slots; temps restart above them.
-		bc.tI = int32(bc.fc.cf.nInts)
-		bc.tF = int32(bc.fc.cf.nFlts)
+		bc.tI = bc.namedI
+		bc.tF = bc.namedF
 		bc.breaks = append(bc.breaks, -1)
 		bc.conts = append(bc.conts, -1)
 		bc.block(seg.body)

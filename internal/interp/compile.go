@@ -1,21 +1,21 @@
 package interp
 
-// The compiled execution engine. A compile pass walks each function once
-// and emits slot-resolved closures: scalar references become integer
-// indices into a flat per-call frame, array references and builtin calls
-// are resolved at compile time, and int vs float arithmetic is
-// specialized into distinct closure variants. Runtime errors propagate as
-// engineErr panics recovered at the Call boundary (and at worker
-// goroutine tops), so the hot path carries no error returns.
+// Slot resolution, shared by the bytecode compiler (bytecode.go). One
+// pass over each function assigns every name a place in the flat per-call
+// frame: scalar locals and parameters get typed slots (ints / flts),
+// privatizable globals get cell slots, arrays get reference slots, and
+// every expression gets a static int or float type. Runtime errors
+// propagate as engineErr panics recovered at the Call boundary (and at
+// worker goroutine tops), so the hot path carries no error returns.
 //
 // Semantics deliberately mirror the tree walker (the reference oracle
 // behind Machine.Interp = "tree") with one documented relaxation: the
 // tree walker scopes implicitly-defined scalars (and locally declared
-// names) per block, while the compiled engine gives every name one flat
+// names) per block, while the slot layout gives every name one flat
 // slot per function. Programs that read a dead block's variable — which
 // error under the tree walker — may observe a stale slot here. The
 // corpus (and any well-formed program) never does this; the differential
-// test layer pins the engines together on all twelve benchmarks.
+// test layer pins the VM to the tree walker on every corpus benchmark.
 
 import (
 	"fmt"
@@ -34,7 +34,7 @@ func throwf(format string, args ...any) {
 	panic(engineErr{fmt.Errorf(format, args...)})
 }
 
-// control is the statement outcome code (the compiled analogue of the
+// control is the outcome code of a VM segment run (the analogue of the
 // tree walker's errReturn/errBreak/errContinue sentinels).
 type control uint8
 
@@ -45,14 +45,6 @@ const (
 	ctlReturn
 )
 
-// Typed closures: every expression is statically int or float.
-type (
-	iexpr func(fr *frame) int64
-	fexpr func(fr *frame) float64
-	bexpr func(fr *frame) bool
-	cstmt func(fr *frame) control
-)
-
 // ctyp is the static type of an expression.
 type ctyp uint8
 
@@ -60,13 +52,6 @@ const (
 	tInt ctyp = iota
 	tFloat
 )
-
-// compiledProgram caches the compiled form of a machine's program for a
-// specific plan (plans change rarely; the pointer is the cache key).
-type compiledProgram struct {
-	plan  *parallelize.Plan
-	funcs map[string]*cfunc
-}
 
 // Scalar symbol kinds.
 const (
@@ -95,59 +80,15 @@ func (s *scalarSym) typ() ctyp {
 type arraySym struct {
 	slot  int
 	float bool // declared element type (runtime re-checks actual arrays)
-	local bool // declared by a DeclStmt (allocated at decl execution)
 }
 
-// compiler compiles one program for one machine+plan.
-type compiler struct {
-	m     *Machine
-	funcs map[string]*cfunc
-}
-
-func compileProgram(m *Machine) *compiledProgram {
-	c := &compiler{m: m, funcs: map[string]*cfunc{}}
-	for _, fn := range m.Prog.Funcs {
-		if fn.Body != nil {
-			c.compileFunc(fn)
-		}
-	}
-	return &compiledProgram{plan: m.Plan, funcs: c.funcs}
-}
-
-func (c *compiler) compileFunc(fn *cminus.FuncDecl) *cfunc {
-	if cf, ok := c.funcs[fn.Name]; ok {
-		return cf
-	}
-	cf := newCfunc(fn)
-	// Register the shell before compiling the body so recursive calls
-	// resolve; cf.body is read at call time, after compilation finished.
-	c.funcs[fn.Name] = cf
-	fc := &fnCompiler{
-		c:       c,
-		fn:      fn,
-		cf:      cf,
-		scalars: map[string]*scalarSym{},
-		arrays:  map[string]*arraySym{},
-		fp:      c.funcPlan(fn.Name),
-	}
-	fc.resolve()
-	cf.body = fc.compileBlock(fn.Body)
-	cf.finish(fc)
-	return cf
-}
-
-func (c *compiler) funcPlan(name string) *parallelize.FuncPlan {
-	if c.m.Plan == nil {
-		return nil
-	}
-	return c.m.Plan.Funcs[name]
-}
-
-// fnCompiler holds the per-function symbol tables.
+// fnCompiler holds the per-function symbol tables. Resolution writes the
+// frame layout (slot counts, parameter and entry bindings) straight into
+// bf, the function being compiled.
 type fnCompiler struct {
-	c       *compiler
+	m       *Machine
 	fn      *cminus.FuncDecl
-	cf      *cfunc
+	bf      *bfunc
 	scalars map[string]*scalarSym
 	arrays  map[string]*arraySym
 	fp      *parallelize.FuncPlan
@@ -160,20 +101,20 @@ func (fc *fnCompiler) newScalarSlot(name string, float bool) *scalarSym {
 	s := &scalarSym{name: name, float: float}
 	if float {
 		s.kind = syLocalFlt
-		s.idx = fc.cf.nFlts
-		fc.cf.nFlts++
+		s.idx = fc.bf.nFlts
+		fc.bf.nFlts++
 	} else {
 		s.kind = syLocalInt
-		s.idx = fc.cf.nInts
-		fc.cf.nInts++
+		s.idx = fc.bf.nInts
+		fc.bf.nInts++
 	}
 	fc.scalars[name] = s
 	return s
 }
 
-func (fc *fnCompiler) newArraySlot(name string, float, local bool) *arraySym {
-	a := &arraySym{slot: fc.cf.nArrs, float: float, local: local}
-	fc.cf.nArrs++
+func (fc *fnCompiler) newArraySlot(name string, float bool) *arraySym {
+	a := &arraySym{slot: fc.bf.nArrs, float: float}
+	fc.bf.nArrs++
 	fc.arrays[name] = a
 	return a
 }
@@ -188,8 +129,8 @@ func (fc *fnCompiler) resolve() {
 	for _, prm := range fc.fn.Params {
 		isFloat := cminus.IsFloatType(prm.Type)
 		if prm.PtrDeep > 0 || len(prm.Dims) > 0 {
-			a := fc.newArraySlot(prm.Name, isFloat, false)
-			fc.cf.params = append(fc.cf.params, paramSlot{name: prm.Name, kind: psArr, idx: a.slot})
+			a := fc.newArraySlot(prm.Name, isFloat)
+			fc.bf.params = append(fc.bf.params, paramSlot{name: prm.Name, kind: psArr, idx: a.slot})
 			continue
 		}
 		s := fc.newScalarSlot(prm.Name, isFloat)
@@ -197,7 +138,7 @@ func (fc *fnCompiler) resolve() {
 		if isFloat {
 			kind = psFlt
 		}
-		fc.cf.params = append(fc.cf.params, paramSlot{name: prm.Name, kind: kind, idx: s.idx})
+		fc.bf.params = append(fc.bf.params, paramSlot{name: prm.Name, kind: kind, idx: s.idx})
 	}
 
 	// Declared locals (scalars and arrays), anywhere in the body.
@@ -210,7 +151,7 @@ func (fc *fnCompiler) resolve() {
 		for _, it := range d.Items {
 			if len(it.Dims) > 0 || it.PtrDeep > 0 {
 				if fc.arrays[it.Name] == nil {
-					fc.newArraySlot(it.Name, isFloat, true)
+					fc.newArraySlot(it.Name, isFloat)
 				}
 				continue
 			}
@@ -229,11 +170,11 @@ func (fc *fnCompiler) resolve() {
 			return
 		}
 		float := false
-		if a, ok := fc.c.m.Arrays[name]; ok {
+		if a, ok := fc.m.Arrays[name]; ok {
 			float = a.Float
 		}
-		sym := fc.newArraySlot(name, float, false)
-		fc.cf.entryArrs = append(fc.cf.entryArrs, entryArr{slot: sym.slot, name: name})
+		sym := fc.newArraySlot(name, float)
+		fc.bf.entryArrs = append(fc.bf.entryArrs, entryArr{slot: sym.slot, name: name})
 	}
 	cminus.WalkStmts(fc.fn.Body, func(s cminus.Stmt) bool {
 		cminus.StmtExprs(s, func(e cminus.Expr) bool {
@@ -243,7 +184,7 @@ func (fc *fnCompiler) resolve() {
 					bindEntryArray(name)
 				}
 			case *cminus.CallExpr:
-				if callee := fc.c.m.Prog.Func(x.Fun); callee != nil && callee.Body != nil {
+				if callee := fc.m.Prog.Func(x.Fun); callee != nil && callee.Body != nil {
 					for i, prm := range callee.Params {
 						if i >= len(x.Args) {
 							break
@@ -276,7 +217,7 @@ func (fc *fnCompiler) resolve() {
 		if fc.scalars[id.Name] != nil {
 			return true
 		}
-		if _, isGlobal := fc.c.m.Globals[id.Name]; isGlobal {
+		if _, isGlobal := fc.m.Globals[id.Name]; isGlobal {
 			return true
 		}
 		fc.newScalarSlot(id.Name, fc.typeOf(as.RHS) == tFloat)
@@ -292,9 +233,9 @@ func (fc *fnCompiler) resolve() {
 			return
 		}
 		s.kind = syCell
-		s.idx = fc.cf.nCells
-		fc.cf.nCells++
-		fc.cf.entryCells = append(fc.cf.entryCells, entryCell{slot: s.idx, g: s.g})
+		s.idx = fc.bf.nCells
+		fc.bf.nCells++
+		fc.bf.entryCells = append(fc.bf.entryCells, entryCell{slot: s.idx, g: s.g})
 	}
 	for _, loop := range fc.loops {
 		lp := fc.planFor(loop)
@@ -337,7 +278,7 @@ func (fc *fnCompiler) resolveScalar(name string) *scalarSym {
 	if s, ok := fc.scalars[name]; ok {
 		return s
 	}
-	if g, ok := fc.c.m.Globals[name]; ok {
+	if g, ok := fc.m.Globals[name]; ok {
 		s := &scalarSym{kind: syGlobal, g: g, float: g.Float, name: name}
 		fc.scalars[name] = s
 		return s
@@ -363,7 +304,7 @@ func (fc *fnCompiler) peekScalar(name string) *scalarSym {
 		}
 		return s
 	}
-	if g, ok := fc.c.m.Globals[name]; ok {
+	if g, ok := fc.m.Globals[name]; ok {
 		s := &scalarSym{kind: syGlobal, g: g, float: g.Float, name: name}
 		fc.scalars[name] = s
 		return s
@@ -421,7 +362,7 @@ func (fc *fnCompiler) typeOf(e cminus.Expr) ctyp {
 		}
 		return tInt
 	case *cminus.CallExpr:
-		if fn := fc.c.m.Prog.Func(x.Fun); fn != nil && fn.Body != nil {
+		if fn := fc.m.Prog.Func(x.Fun); fn != nil && fn.Body != nil {
 			if cminus.IsFloatType(fn.RetType) {
 				return tFloat
 			}
@@ -440,90 +381,6 @@ func (fc *fnCompiler) typeOf(e cminus.Expr) ctyp {
 	return tInt
 }
 
-// ---- expression compilation ----
-
-// asI compiles e as an int64 closure, truncating float results.
-func (fc *fnCompiler) asI(e cminus.Expr) iexpr {
-	if fc.typeOf(e) == tInt {
-		return fc.compileI(e)
-	}
-	f := fc.compileF(e)
-	return func(fr *frame) int64 { return int64(f(fr)) }
-}
-
-// asF compiles e as a float64 closure, widening int results.
-func (fc *fnCompiler) asF(e cminus.Expr) fexpr {
-	if fc.typeOf(e) == tFloat {
-		return fc.compileF(e)
-	}
-	i := fc.compileI(e)
-	return func(fr *frame) float64 { return float64(i(fr)) }
-}
-
-// compileB compiles e in boolean context (truthiness), specializing
-// comparisons and short-circuit operators to avoid materializing 0/1.
-func (fc *fnCompiler) compileB(e cminus.Expr) bexpr {
-	switch x := e.(type) {
-	case *cminus.BinaryExpr:
-		switch x.Op {
-		case "&&":
-			l, r := fc.compileB(x.X), fc.compileB(x.Y)
-			return func(fr *frame) bool { return l(fr) && r(fr) }
-		case "||":
-			l, r := fc.compileB(x.X), fc.compileB(x.Y)
-			return func(fr *frame) bool { return l(fr) || r(fr) }
-		case "<", "<=", ">", ">=", "==", "!=":
-			return fc.compileCmp(x)
-		}
-	case *cminus.UnaryExpr:
-		if x.Op == "!" {
-			b := fc.compileB(x.X)
-			return func(fr *frame) bool { return !b(fr) }
-		}
-	}
-	if fc.typeOf(e) == tFloat {
-		f := fc.compileF(e)
-		return func(fr *frame) bool { return f(fr) != 0 }
-	}
-	i := fc.compileI(e)
-	return func(fr *frame) bool { return i(fr) != 0 }
-}
-
-func (fc *fnCompiler) compileCmp(x *cminus.BinaryExpr) bexpr {
-	if promoteTyp(fc.typeOf(x.X), fc.typeOf(x.Y)) == tFloat {
-		l, r := fc.asF(x.X), fc.asF(x.Y)
-		switch x.Op {
-		case "<":
-			return func(fr *frame) bool { return l(fr) < r(fr) }
-		case "<=":
-			return func(fr *frame) bool { return l(fr) <= r(fr) }
-		case ">":
-			return func(fr *frame) bool { return l(fr) > r(fr) }
-		case ">=":
-			return func(fr *frame) bool { return l(fr) >= r(fr) }
-		case "==":
-			return func(fr *frame) bool { return l(fr) == r(fr) }
-		default: // !=
-			return func(fr *frame) bool { return l(fr) != r(fr) }
-		}
-	}
-	l, r := fc.asI(x.X), fc.asI(x.Y)
-	switch x.Op {
-	case "<":
-		return func(fr *frame) bool { return l(fr) < r(fr) }
-	case "<=":
-		return func(fr *frame) bool { return l(fr) <= r(fr) }
-	case ">":
-		return func(fr *frame) bool { return l(fr) > r(fr) }
-	case ">=":
-		return func(fr *frame) bool { return l(fr) >= r(fr) }
-	case "==":
-		return func(fr *frame) bool { return l(fr) == r(fr) }
-	default: // !=
-		return func(fr *frame) bool { return l(fr) != r(fr) }
-	}
-}
-
 func b2i(b bool) int64 {
 	if b {
 		return 1
@@ -531,473 +388,9 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// compileI compiles a statically-int expression.
-func (fc *fnCompiler) compileI(e cminus.Expr) iexpr {
-	switch x := e.(type) {
-	case *cminus.IntLit:
-		v := x.Val
-		return func(*frame) int64 { return v }
-	case *cminus.StringLit:
-		return func(*frame) int64 { return 0 }
-	case *cminus.Ident:
-		return fc.scalarReadI(x)
-	case *cminus.BinaryExpr:
-		switch x.Op {
-		case "+":
-			l, r := fc.compileI(x.X), fc.compileI(x.Y)
-			return func(fr *frame) int64 { return l(fr) + r(fr) }
-		case "-":
-			l, r := fc.compileI(x.X), fc.compileI(x.Y)
-			return func(fr *frame) int64 { return l(fr) - r(fr) }
-		case "*":
-			l, r := fc.compileI(x.X), fc.compileI(x.Y)
-			return func(fr *frame) int64 { return l(fr) * r(fr) }
-		case "/":
-			l, r := fc.compileI(x.X), fc.compileI(x.Y)
-			return func(fr *frame) int64 {
-				a, b := l(fr), r(fr)
-				if b == 0 {
-					throwf("interp: integer division by zero")
-				}
-				return a / b
-			}
-		case "%":
-			l, r := fc.asI(x.X), fc.asI(x.Y)
-			return func(fr *frame) int64 {
-				a, b := l(fr), r(fr)
-				if b == 0 {
-					throwf("interp: modulo by zero")
-				}
-				return a % b
-			}
-		case "<", "<=", ">", ">=", "==", "!=", "&&", "||":
-			b := fc.compileB(x)
-			return func(fr *frame) int64 { return b2i(b(fr)) }
-		case "&":
-			l, r := fc.asI(x.X), fc.asI(x.Y)
-			return func(fr *frame) int64 { return l(fr) & r(fr) }
-		case "|":
-			l, r := fc.asI(x.X), fc.asI(x.Y)
-			return func(fr *frame) int64 { return l(fr) | r(fr) }
-		case "^":
-			l, r := fc.asI(x.X), fc.asI(x.Y)
-			return func(fr *frame) int64 { return l(fr) ^ r(fr) }
-		case "<<":
-			l, r := fc.asI(x.X), fc.asI(x.Y)
-			return func(fr *frame) int64 { return l(fr) << uint(r(fr)) }
-		case ">>":
-			l, r := fc.asI(x.X), fc.asI(x.Y)
-			return func(fr *frame) int64 { return l(fr) >> uint(r(fr)) }
-		}
-		op, pos := x.Op, x.P
-		return func(*frame) int64 {
-			throwf("interp: unsupported operator %q at %s", op, pos)
-			return 0
-		}
-	case *cminus.UnaryExpr:
-		switch x.Op {
-		case "-":
-			v := fc.compileI(x.X)
-			return func(fr *frame) int64 { return -v(fr) }
-		case "!":
-			b := fc.compileB(x.X)
-			return func(fr *frame) int64 { return b2i(!b(fr)) }
-		case "~":
-			v := fc.asI(x.X)
-			return func(fr *frame) int64 { return ^v(fr) }
-		case "++", "--":
-			return fc.compileIncDecI(x)
-		}
-		// Unknown unary: the tree walker rejects the operator without
-		// evaluating the operand.
-		op, pos := x.Op, x.P
-		return func(*frame) int64 {
-			throwf("interp: unary %q at %s", op, pos)
-			return 0
-		}
-	case *cminus.CondExpr:
-		c := fc.compileB(x.C)
-		t, f := fc.compileI(x.T), fc.compileI(x.F)
-		return func(fr *frame) int64 {
-			if c(fr) {
-				return t(fr)
-			}
-			return f(fr)
-		}
-	case *cminus.IndexExpr:
-		return fc.arrayReadI(x)
-	case *cminus.CallExpr:
-		i, _ := fc.compileCall(x, tInt)
-		return i
-	case *cminus.CastExpr:
-		return fc.asI(x.X)
-	}
-	pos := e.Pos()
-	return func(*frame) int64 {
-		throwf("interp: unsupported expression %T at %s", e, pos)
-		return 0
-	}
-}
+// ---- shared runtime helpers ----
 
-// compileF compiles a statically-float expression.
-func (fc *fnCompiler) compileF(e cminus.Expr) fexpr {
-	switch x := e.(type) {
-	case *cminus.FloatLit:
-		var v float64
-		if _, err := fmt.Sscanf(x.Text, "%g", &v); err != nil {
-			text := x.Text
-			return func(*frame) float64 {
-				throwf("interp: bad float %q", text)
-				return 0
-			}
-		}
-		return func(*frame) float64 { return v }
-	case *cminus.Ident:
-		return fc.scalarReadF(x)
-	case *cminus.BinaryExpr:
-		switch x.Op {
-		case "+":
-			l, r := fc.asF(x.X), fc.asF(x.Y)
-			return func(fr *frame) float64 { return l(fr) + r(fr) }
-		case "-":
-			l, r := fc.asF(x.X), fc.asF(x.Y)
-			return func(fr *frame) float64 { return l(fr) - r(fr) }
-		case "*":
-			l, r := fc.asF(x.X), fc.asF(x.Y)
-			return func(fr *frame) float64 { return l(fr) * r(fr) }
-		case "/":
-			l, r := fc.asF(x.X), fc.asF(x.Y)
-			return func(fr *frame) float64 { return l(fr) / r(fr) }
-		}
-	case *cminus.UnaryExpr:
-		switch x.Op {
-		case "-":
-			v := fc.compileF(x.X)
-			return func(fr *frame) float64 { return -v(fr) }
-		case "++", "--":
-			return fc.compileIncDecF(x)
-		}
-	case *cminus.CondExpr:
-		c := fc.compileB(x.C)
-		t, f := fc.asF(x.T), fc.asF(x.F)
-		return func(fr *frame) float64 {
-			if c(fr) {
-				return t(fr)
-			}
-			return f(fr)
-		}
-	case *cminus.IndexExpr:
-		return fc.arrayReadF(x)
-	case *cminus.CallExpr:
-		_, f := fc.compileCall(x, tFloat)
-		return f
-	case *cminus.CastExpr:
-		return fc.asF(x.X)
-	}
-	// A statically-int expression requested in float context.
-	i := fc.compileI(e)
-	return func(fr *frame) float64 { return float64(i(fr)) }
-}
-
-// ---- scalar access ----
-
-func (fc *fnCompiler) scalarReadI(id *cminus.Ident) iexpr {
-	s := fc.resolveScalar(id.Name)
-	switch s.kind {
-	case syLocalInt:
-		idx := s.idx
-		return func(fr *frame) int64 { return fr.ints[idx] }
-	case syLocalFlt:
-		idx := s.idx
-		return func(fr *frame) int64 { return int64(fr.flts[idx]) }
-	case syGlobal:
-		g := s.g
-		return func(*frame) int64 { return g.AsInt() }
-	case syCell:
-		idx := s.idx
-		return func(fr *frame) int64 { return fr.cells[idx].AsInt() }
-	}
-	name, pos := id.Name, id.P
-	return func(*frame) int64 {
-		throwf("interp: unbound variable %q at %s", name, pos)
-		return 0
-	}
-}
-
-func (fc *fnCompiler) scalarReadF(id *cminus.Ident) fexpr {
-	s := fc.resolveScalar(id.Name)
-	switch s.kind {
-	case syLocalFlt:
-		idx := s.idx
-		return func(fr *frame) float64 { return fr.flts[idx] }
-	case syLocalInt:
-		idx := s.idx
-		return func(fr *frame) float64 { return float64(fr.ints[idx]) }
-	case syGlobal:
-		g := s.g
-		return func(*frame) float64 { return g.AsFloat() }
-	case syCell:
-		idx := s.idx
-		return func(fr *frame) float64 { return fr.cells[idx].AsFloat() }
-	}
-	name, pos := id.Name, id.P
-	return func(*frame) float64 {
-		throwf("interp: unbound variable %q at %s", name, pos)
-		return 0
-	}
-}
-
-// scalarStore emits a store of rhs (compiled at the target's type, which
-// matches the tree walker's convert-to-cell-type assignment rule).
-func (fc *fnCompiler) scalarStore(s *scalarSym, rhs cminus.Expr) cstmt {
-	switch s.kind {
-	case syLocalInt:
-		idx, v := s.idx, fc.asI(rhs)
-		return func(fr *frame) control {
-			fr.ints[idx] = v(fr)
-			return ctlNext
-		}
-	case syLocalFlt:
-		idx, v := s.idx, fc.asF(rhs)
-		return func(fr *frame) control {
-			fr.flts[idx] = v(fr)
-			return ctlNext
-		}
-	case syGlobal:
-		g := s.g
-		if g.Float {
-			v := fc.asF(rhs)
-			return func(fr *frame) control {
-				g.F = v(fr)
-				return ctlNext
-			}
-		}
-		v := fc.asI(rhs)
-		return func(fr *frame) control {
-			g.I = v(fr)
-			return ctlNext
-		}
-	case syCell:
-		idx := s.idx
-		if s.float {
-			v := fc.asF(rhs)
-			return func(fr *frame) control {
-				fr.cells[idx].F = v(fr)
-				return ctlNext
-			}
-		}
-		v := fc.asI(rhs)
-		return func(fr *frame) control {
-			fr.cells[idx].I = v(fr)
-			return ctlNext
-		}
-	}
-	name := s.name
-	return func(*frame) control {
-		throwf("interp: unbound variable %q", name)
-		return ctlNext
-	}
-}
-
-// scalarRef returns typed load/store funcs for compound ops and ++/--.
-func (fc *fnCompiler) scalarRefI(s *scalarSym, pos cminus.Position) (func(fr *frame) int64, func(fr *frame, v int64)) {
-	switch s.kind {
-	case syLocalInt:
-		idx := s.idx
-		return func(fr *frame) int64 { return fr.ints[idx] },
-			func(fr *frame, v int64) { fr.ints[idx] = v }
-	case syGlobal:
-		g := s.g
-		return func(*frame) int64 { return g.I },
-			func(_ *frame, v int64) { g.I = v }
-	case syCell:
-		idx := s.idx
-		return func(fr *frame) int64 { return fr.cells[idx].I },
-			func(fr *frame, v int64) { fr.cells[idx].I = v }
-	}
-	name := s.name
-	fail := func() {
-		throwf("interp: unbound %q at %s", name, pos)
-	}
-	return func(*frame) int64 { fail(); return 0 }, func(*frame, int64) { fail() }
-}
-
-func (fc *fnCompiler) scalarRefF(s *scalarSym, pos cminus.Position) (func(fr *frame) float64, func(fr *frame, v float64)) {
-	switch s.kind {
-	case syLocalFlt:
-		idx := s.idx
-		return func(fr *frame) float64 { return fr.flts[idx] },
-			func(fr *frame, v float64) { fr.flts[idx] = v }
-	case syGlobal:
-		g := s.g
-		return func(*frame) float64 { return g.F },
-			func(_ *frame, v float64) { g.F = v }
-	case syCell:
-		idx := s.idx
-		return func(fr *frame) float64 { return fr.cells[idx].F },
-			func(fr *frame, v float64) { fr.cells[idx].F = v }
-	}
-	name := s.name
-	fail := func() {
-		throwf("interp: unbound %q at %s", name, pos)
-	}
-	return func(*frame) float64 { fail(); return 0 }, func(*frame, float64) { fail() }
-}
-
-func (fc *fnCompiler) compileIncDecI(x *cminus.UnaryExpr) iexpr {
-	id, ok := x.X.(*cminus.Ident)
-	if !ok {
-		op, pos := x.Op, x.P
-		return func(*frame) int64 {
-			throwf("interp: %s on non-identifier at %s", op, pos)
-			return 0
-		}
-	}
-	s := fc.resolveScalar(id.Name)
-	delta := int64(1)
-	if x.Op == "--" {
-		delta = -1
-	}
-	load, store := fc.scalarRefI(s, x.P)
-	if x.Postfix {
-		return func(fr *frame) int64 {
-			old := load(fr)
-			store(fr, old+delta)
-			return old
-		}
-	}
-	return func(fr *frame) int64 {
-		nv := load(fr) + delta
-		store(fr, nv)
-		return nv
-	}
-}
-
-func (fc *fnCompiler) compileIncDecF(x *cminus.UnaryExpr) fexpr {
-	id, ok := x.X.(*cminus.Ident)
-	if !ok {
-		op, pos := x.Op, x.P
-		return func(*frame) float64 {
-			throwf("interp: %s on non-identifier at %s", op, pos)
-			return 0
-		}
-	}
-	s := fc.resolveScalar(id.Name)
-	delta := float64(1)
-	if x.Op == "--" {
-		delta = -1
-	}
-	load, store := fc.scalarRefF(s, x.P)
-	if x.Postfix {
-		return func(fr *frame) float64 {
-			old := load(fr)
-			store(fr, old+delta)
-			return old
-		}
-	}
-	return func(fr *frame) float64 {
-		nv := load(fr) + delta
-		store(fr, nv)
-		return nv
-	}
-}
-
-// ---- array access ----
-
-// arrayAt compiles the subscript chain of an IndexExpr into an offset
-// closure (bounds-checked, all indices evaluated exactly once).
-func (fc *fnCompiler) arrayAt(e *cminus.IndexExpr, pos cminus.Position) (*arraySym, func(fr *frame) (*Array, int64)) {
-	name, idxExprs, ok := cminus.ArrayBase(e)
-	if !ok {
-		pos := e.P
-		return nil, func(*frame) (*Array, int64) {
-			throwf("interp: unsupported index expression at %s", pos)
-			return nil, 0
-		}
-	}
-	sym := fc.arrays[name]
-	if sym == nil {
-		// Resolution registered every subscripted base; a miss means the
-		// base is only reachable through dead code paths not walked (it
-		// cannot happen for WalkStmts-visited bodies, but stay total).
-		sym = fc.newArraySlot(name, false, false)
-		fc.cf.entryArrs = append(fc.cf.entryArrs, entryArr{slot: sym.slot, name: name})
-	}
-	slot := sym.slot
-	// Tree-walker order: unknown-array check, then every subscript
-	// evaluated left to right, then rank, then bounds dim by dim.
-	if len(idxExprs) == 1 {
-		ix := fc.asI(idxExprs[0])
-		return sym, func(fr *frame) (*Array, int64) {
-			a := fr.arrs[slot]
-			if a == nil {
-				throwf("interp: unknown array %q at %s", name, pos)
-			}
-			i := ix(fr)
-			if len(a.Dims) != 1 {
-				throwf("interp: array %s indexed with 1 subscripts, has %d dims", a.Name, len(a.Dims))
-			}
-			if i < 0 || i >= a.Dims[0] {
-				throwf("interp: array %s index %d out of range [0,%d) in dim 0", a.Name, i, a.Dims[0])
-			}
-			return a, i
-		}
-	}
-	idx := make([]iexpr, len(idxExprs))
-	for i, ie := range idxExprs {
-		idx[i] = fc.asI(ie)
-	}
-	return sym, func(fr *frame) (*Array, int64) {
-		a := fr.arrs[slot]
-		if a == nil {
-			throwf("interp: unknown array %q at %s", name, pos)
-		}
-		var buf [8]int64
-		vals := buf[:0]
-		if len(idx) > len(buf) {
-			vals = make([]int64, 0, len(idx))
-		}
-		for _, fn := range idx {
-			vals = append(vals, fn(fr))
-		}
-		if len(idx) != len(a.Dims) {
-			throwf("interp: array %s indexed with %d subscripts, has %d dims", a.Name, len(idx), len(a.Dims))
-		}
-		var off int64
-		for d, ix := range vals {
-			if ix < 0 || ix >= a.Dims[d] {
-				throwf("interp: array %s index %d out of range [0,%d) in dim %d", a.Name, ix, a.Dims[d], d)
-			}
-			off = off*a.Dims[d] + ix
-		}
-		return a, off
-	}
-}
-
-func (fc *fnCompiler) arrayReadI(e *cminus.IndexExpr) iexpr {
-	_, at := fc.arrayAt(e, e.P)
-	return func(fr *frame) int64 {
-		a, off := at(fr)
-		if a.Float {
-			return int64(a.Flts[off])
-		}
-		return a.Ints[off]
-	}
-}
-
-func (fc *fnCompiler) arrayReadF(e *cminus.IndexExpr) fexpr {
-	_, at := fc.arrayAt(e, e.P)
-	return func(fr *frame) float64 {
-		a, off := at(fr)
-		if a.Float {
-			return a.Flts[off]
-		}
-		return float64(a.Ints[off])
-	}
-}
-
-// ---- calls ----
-
+// Float builtins by arity; abs is the one int-valued builtin.
 var builtins1 = map[string]func(float64) float64{
 	"exp":   math.Exp,
 	"sqrt":  math.Sqrt,
@@ -1016,451 +409,8 @@ var builtins2 = map[string]func(float64, float64) float64{
 	"fmax": math.Max,
 }
 
-// compileCall compiles a call at the requested static type; exactly one
-// of the returned closures is non-nil.
-func (fc *fnCompiler) compileCall(x *cminus.CallExpr, want ctyp) (iexpr, fexpr) {
-	if fn := fc.c.m.Prog.Func(x.Fun); fn != nil && fn.Body != nil {
-		return fc.compileUserCall(x, fn, want)
-	}
-	// Builtins: every argument evaluates as float, in order. The tree
-	// walker checks arity after evaluating arguments; the compiled form
-	// errors lazily too (at call execution), keeping dead calls inert.
-	args := make([]fexpr, len(x.Args))
-	for i, a := range x.Args {
-		args[i] = fc.asF(a)
-	}
-	badArity := func(n int) (iexpr, fexpr) {
-		fun := x.Fun
-		if want == tInt {
-			return func(fr *frame) int64 {
-				for _, a := range args {
-					a(fr)
-				}
-				throwf("interp: %s expects %d args", fun, n)
-				return 0
-			}, nil
-		}
-		return nil, func(fr *frame) float64 {
-			for _, a := range args {
-				a(fr)
-			}
-			throwf("interp: %s expects %d args", fun, n)
-			return 0
-		}
-	}
-	var res fexpr
-	switch {
-	case x.Fun == "abs":
-		if len(args) != 1 {
-			return badArity(1)
-		}
-		a := args[0]
-		iv := func(fr *frame) int64 { return int64(math.Abs(a(fr))) }
-		if want == tInt {
-			return iv, nil
-		}
-		return nil, func(fr *frame) float64 { return float64(iv(fr)) }
-	case builtins1[x.Fun] != nil:
-		if len(args) != 1 {
-			return badArity(1)
-		}
-		f, a := builtins1[x.Fun], args[0]
-		res = func(fr *frame) float64 { return f(a(fr)) }
-	case builtins2[x.Fun] != nil:
-		if len(args) != 2 {
-			return badArity(2)
-		}
-		f, a, b := builtins2[x.Fun], args[0], args[1]
-		res = func(fr *frame) float64 { return f(a(fr), b(fr)) }
-	default:
-		fun := x.Fun
-		res = func(fr *frame) float64 {
-			for _, a := range args {
-				a(fr)
-			}
-			throwf("interp: unknown function %q", fun)
-			return 0
-		}
-	}
-	if want == tInt {
-		return func(fr *frame) int64 { return int64(res(fr)) }, nil
-	}
-	return nil, res
-}
-
-// compileUserCall binds arguments (arrays by reference, scalars by
-// value, evaluated in parameter order like the tree walker) into a
-// pooled callee frame and converts the return to the declared type.
-func (fc *fnCompiler) compileUserCall(x *cminus.CallExpr, fn *cminus.FuncDecl, want ctyp) (iexpr, fexpr) {
-	pos := x.P
-	if len(x.Args) != len(fn.Params) {
-		name, nw, ng := fn.Name, len(fn.Params), len(x.Args)
-		fail := func() {
-			throwf("interp: %s expects %d args, got %d at %s", name, nw, ng, pos)
-		}
-		if want == tInt {
-			return func(*frame) int64 { fail(); return 0 }, nil
-		}
-		return nil, func(*frame) float64 { fail(); return 0 }
-	}
-	callee := fc.c.compileFunc(fn)
-	type bindFn func(caller, cal *frame)
-	binds := make([]bindFn, 0, len(fn.Params))
-	for i := range fn.Params {
-		ps := callee.params[i]
-		switch ps.kind {
-		case psArr:
-			id, ok := x.Args[i].(*cminus.Ident)
-			if !ok {
-				argIdx, fname := i, fn.Name
-				binds = append(binds, func(_, _ *frame) {
-					throwf("interp: array argument %d of %s must be an identifier at %s", argIdx, fname, pos)
-				})
-				continue
-			}
-			src := fc.arrays[id.Name]
-			if src == nil {
-				// Not referenced as an array anywhere else in the
-				// caller: bind lazily from m.Arrays, erroring like the
-				// tree walker when absent.
-				src = fc.newArraySlot(id.Name, false, false)
-				fc.cf.entryArrs = append(fc.cf.entryArrs, entryArr{slot: src.slot, name: id.Name})
-			}
-			srcSlot, dstSlot := src.slot, ps.idx
-			aname, fname := id.Name, fn.Name
-			binds = append(binds, func(caller, cal *frame) {
-				a := caller.arrs[srcSlot]
-				if a == nil {
-					throwf("interp: unknown array %q passed to %s at %s", aname, fname, pos)
-				}
-				cal.arrs[dstSlot] = a
-			})
-		case psFlt:
-			v, dst := fc.asF(x.Args[i]), ps.idx
-			binds = append(binds, func(caller, cal *frame) {
-				cal.flts[dst] = v(caller)
-			})
-		default:
-			v, dst := fc.asI(x.Args[i]), ps.idx
-			binds = append(binds, func(caller, cal *frame) {
-				cal.ints[dst] = v(caller)
-			})
-		}
-	}
-	m := fc.c.m
-	run := func(caller *frame) Value {
-		cal := callee.newFrame()
-		callee.bindEntry(cal, m)
-		for _, b := range binds {
-			b(caller, cal)
-		}
-		cal.ret = Value{}
-		callee.body(cal)
-		ret := cal.ret
-		callee.release(cal)
-		return ret
-	}
-	if cminus.IsFloatType(fn.RetType) {
-		f := func(fr *frame) float64 { return run(fr).AsFloat() }
-		if want == tInt {
-			return func(fr *frame) int64 { return int64(f(fr)) }, nil
-		}
-		return nil, f
-	}
-	iv := func(fr *frame) int64 { return run(fr).AsInt() }
-	if want == tInt {
-		return iv, nil
-	}
-	return nil, func(fr *frame) float64 { return float64(iv(fr)) }
-}
-
-// ---- statements ----
-
-func (fc *fnCompiler) compileBlock(b *cminus.Block) cstmt {
-	var stmts []cstmt
-	for _, s := range b.Stmts {
-		if cs := fc.compileStmt(s); cs != nil {
-			stmts = append(stmts, cs)
-		}
-	}
-	switch len(stmts) {
-	case 0:
-		return func(*frame) control { return ctlNext }
-	case 1:
-		return stmts[0]
-	}
-	return func(fr *frame) control {
-		for _, s := range stmts {
-			if ctl := s(fr); ctl != ctlNext {
-				return ctl
-			}
-		}
-		return ctlNext
-	}
-}
-
-func (fc *fnCompiler) compileStmt(s cminus.Stmt) cstmt {
-	switch x := s.(type) {
-	case *cminus.DeclStmt:
-		return fc.compileDecl(x)
-	case *cminus.AssignStmt:
-		return fc.compileAssign(x)
-	case *cminus.ExprStmt:
-		if fc.typeOf(x.X) == tFloat {
-			v := fc.compileF(x.X)
-			return func(fr *frame) control {
-				v(fr)
-				return ctlNext
-			}
-		}
-		v := fc.compileI(x.X)
-		return func(fr *frame) control {
-			v(fr)
-			return ctlNext
-		}
-	case *cminus.IfStmt:
-		cond := fc.compileB(x.Cond)
-		then := fc.compileBlock(x.Then)
-		if x.Else == nil {
-			return func(fr *frame) control {
-				if cond(fr) {
-					return then(fr)
-				}
-				return ctlNext
-			}
-		}
-		els := fc.compileStmt(x.Else)
-		return func(fr *frame) control {
-			if cond(fr) {
-				return then(fr)
-			}
-			return els(fr)
-		}
-	case *cminus.ForStmt:
-		return fc.compileFor(x)
-	case *cminus.WhileStmt:
-		cond := fc.compileB(x.Cond)
-		body := fc.compileBlock(x.Body)
-		m := fc.c.m
-		return func(fr *frame) control {
-			for cond(fr) {
-				m.interruptCompiled()
-				switch body(fr) {
-				case ctlBreak:
-					return ctlNext
-				case ctlReturn:
-					return ctlReturn
-				}
-			}
-			return ctlNext
-		}
-	case *cminus.Block:
-		return fc.compileBlock(x)
-	case *cminus.ReturnStmt:
-		if x.X == nil {
-			return func(fr *frame) control {
-				fr.ret = Value{}
-				return ctlReturn
-			}
-		}
-		if fc.typeOf(x.X) == tFloat {
-			v := fc.compileF(x.X)
-			return func(fr *frame) control {
-				fr.ret = FloatVal(v(fr))
-				return ctlReturn
-			}
-		}
-		v := fc.compileI(x.X)
-		return func(fr *frame) control {
-			fr.ret = IntVal(v(fr))
-			return ctlReturn
-		}
-	case *cminus.BreakStmt:
-		return func(*frame) control { return ctlBreak }
-	case *cminus.ContinueStmt:
-		return func(*frame) control { return ctlContinue }
-	}
-	return nil
-}
-
-// compileDecl zero-stores scalars (or evaluates initializers) and
-// allocates fresh local arrays at each execution, matching the tree
-// walker's fresh-scope-per-entry semantics.
-func (fc *fnCompiler) compileDecl(x *cminus.DeclStmt) cstmt {
-	isFloat := cminus.IsFloatType(x.Type)
-	var parts []cstmt
-	for _, it := range x.Items {
-		if len(it.Dims) > 0 || it.PtrDeep > 0 {
-			sym := fc.arrays[it.Name]
-			dims := make([]iexpr, len(it.Dims))
-			for i, d := range it.Dims {
-				dims[i] = fc.asI(d)
-			}
-			slot, name, flt := sym.slot, it.Name, isFloat
-			parts = append(parts, func(fr *frame) control {
-				dv := make([]int64, len(dims))
-				for i, d := range dims {
-					dv[i] = d(fr)
-				}
-				if flt {
-					fr.arrs[slot] = NewFloatArray(name, dv...)
-				} else {
-					fr.arrs[slot] = NewIntArray(name, dv...)
-				}
-				return ctlNext
-			})
-			continue
-		}
-		s := fc.scalars[it.Name]
-		init := it.Init
-		if init == nil {
-			init = &cminus.IntLit{Val: 0}
-		}
-		parts = append(parts, fc.scalarStore(s, init))
-	}
-	switch len(parts) {
-	case 0:
-		return nil
-	case 1:
-		return parts[0]
-	}
-	return func(fr *frame) control {
-		for _, p := range parts {
-			p(fr)
-		}
-		return ctlNext
-	}
-}
-
-func (fc *fnCompiler) compileAssign(x *cminus.AssignStmt) cstmt {
-	if id, ok := x.LHS.(*cminus.Ident); ok {
-		s := fc.resolveScalar(id.Name)
-		if x.Op == "" {
-			return fc.scalarStore(s, x.RHS)
-		}
-		// Compound op: RHS evaluates first (tree-walker order), the
-		// combine runs at the promoted type (always int for %), and the
-		// store converts back to the target's type.
-		if x.Op == "%" || (s.typ() == tInt && fc.typeOf(x.RHS) == tInt) {
-			rhs := fc.asI(x.RHS)
-			comb := intCombine(x.Op)
-			if s.typ() == tFloat {
-				load, store := fc.scalarRefF(s, x.P)
-				return func(fr *frame) control {
-					r := rhs(fr)
-					store(fr, float64(comb(int64(load(fr)), r)))
-					return ctlNext
-				}
-			}
-			load, store := fc.scalarRefI(s, x.P)
-			return func(fr *frame) control {
-				r := rhs(fr)
-				store(fr, comb(load(fr), r))
-				return ctlNext
-			}
-		}
-		rhs := fc.asF(x.RHS)
-		comb := floatCombine(x.Op)
-		if s.typ() == tInt {
-			load, store := fc.scalarRefI(s, x.P)
-			return func(fr *frame) control {
-				r := rhs(fr)
-				store(fr, int64(comb(float64(load(fr)), r)))
-				return ctlNext
-			}
-		}
-		load, store := fc.scalarRefF(s, x.P)
-		return func(fr *frame) control {
-			r := rhs(fr)
-			store(fr, comb(load(fr), r))
-			return ctlNext
-		}
-	}
-	// Array target.
-	ix, ok := x.LHS.(*cminus.IndexExpr)
-	if ok {
-		if _, _, shaped := cminus.ArrayBase(ix); !shaped {
-			ok = false
-		}
-	}
-	if !ok {
-		// Tree-walker order: the RHS evaluates (and may itself error)
-		// before the target is rejected.
-		pos := x.P
-		if fc.typeOf(x.RHS) == tFloat {
-			rhs := fc.asF(x.RHS)
-			return func(fr *frame) control {
-				rhs(fr)
-				throwf("interp: unsupported assignment target at %s", pos)
-				return ctlNext
-			}
-		}
-		rhs := fc.asI(x.RHS)
-		return func(fr *frame) control {
-			rhs(fr)
-			throwf("interp: unsupported assignment target at %s", pos)
-			return ctlNext
-		}
-	}
-	_, at := fc.arrayAt(ix, x.P)
-	if x.Op == "" {
-		if fc.typeOf(x.RHS) == tFloat {
-			rhs := fc.compileF(x.RHS)
-			return func(fr *frame) control {
-				r := rhs(fr)
-				a, off := at(fr)
-				if a.Float {
-					a.Flts[off] = r
-				} else {
-					a.Ints[off] = int64(r)
-				}
-				return ctlNext
-			}
-		}
-		rhs := fc.compileI(x.RHS)
-		return func(fr *frame) control {
-			r := rhs(fr)
-			a, off := at(fr)
-			if a.Float {
-				a.Flts[off] = float64(r)
-			} else {
-				a.Ints[off] = r
-			}
-			return ctlNext
-		}
-	}
-	// Compound array update: RHS first, offset once, read-modify-write.
-	// The combine follows the tree walker's dynamic promotion: the array
-	// element's runtime type joins the RHS's static type.
-	if fc.typeOf(x.RHS) == tFloat {
-		rhs := fc.compileF(x.RHS)
-		comb := floatCombine(x.Op)
-		return func(fr *frame) control {
-			r := rhs(fr)
-			a, off := at(fr)
-			if a.Float {
-				a.Flts[off] = comb(a.Flts[off], r)
-			} else {
-				a.Ints[off] = int64(comb(float64(a.Ints[off]), r))
-			}
-			return ctlNext
-		}
-	}
-	rhs := fc.compileI(x.RHS)
-	icomb := intCombine(x.Op)
-	fcomb := floatCombine(x.Op)
-	return func(fr *frame) control {
-		r := rhs(fr)
-		a, off := at(fr)
-		if a.Float {
-			a.Flts[off] = fcomb(a.Flts[off], float64(r))
-		} else {
-			a.Ints[off] = icomb(a.Ints[off], r)
-		}
-		return ctlNext
-	}
-}
-
+// intCombine and floatCombine fold per-worker reduction partials into
+// the parent frame.
 func intCombine(op string) func(a, b int64) int64 {
 	switch op {
 	case "+":
@@ -1513,93 +463,6 @@ func floatCombine(op string) func(a, b float64) float64 {
 		throwf("interp: unsupported operator %q", op)
 		return 0
 	}
-}
-
-// ---- loops ----
-
-func (fc *fnCompiler) compileFor(loop *cminus.ForStmt) cstmt {
-	body := fc.compileBlock(loop.Body)
-	serial := fc.compileSerialFor(loop, body)
-	lp := fc.planFor(loop)
-	if lp == nil || !lp.Chosen {
-		return serial
-	}
-	par := fc.compileParallelFor(loop, lp, body)
-	checks := make([]bexpr, len(lp.Decision.RuntimeChecks))
-	for i, chk := range lp.Decision.RuntimeChecks {
-		checks[i] = fc.compileCheck(chk.String())
-	}
-	m := fc.c.m
-	return func(fr *frame) control {
-		if m.Workers > 1 {
-			ok := true
-			for _, chk := range checks {
-				if !chk(fr) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return par.run(fr)
-			}
-			m.Stats.RuntimeFallback++
-		}
-		return serial(fr)
-	}
-}
-
-func (fc *fnCompiler) compileSerialFor(loop *cminus.ForStmt, body cstmt) cstmt {
-	var init, post cstmt
-	if loop.Init != nil {
-		init = fc.compileStmt(loop.Init)
-	}
-	if loop.Post != nil {
-		post = fc.compileStmt(loop.Post)
-	}
-	var cond bexpr
-	if loop.Cond != nil {
-		cond = fc.compileB(loop.Cond)
-	}
-	m := fc.c.m
-	return func(fr *frame) control {
-		if init != nil {
-			if ctl := init(fr); ctl == ctlReturn {
-				return ctl
-			}
-		}
-		for {
-			m.interruptCompiled()
-			if cond != nil && !cond(fr) {
-				return ctlNext
-			}
-			switch body(fr) {
-			case ctlBreak:
-				return ctlNext
-			case ctlReturn:
-				return ctlReturn
-			}
-			if post != nil {
-				if ctl := post(fr); ctl == ctlReturn {
-					return ctl
-				}
-			}
-		}
-	}
-}
-
-// compileCheck compiles one rendered runtime-check condition by reusing
-// the mini-C expression parser, resolved against this function's slots.
-func (fc *fnCompiler) compileCheck(cond string) bexpr {
-	src := fmt.Sprintf("void __c(void) { int __r; __r = (%s); }", cond)
-	prog, err := cminus.Parse(src)
-	if err != nil {
-		msg := fmt.Sprintf("interp: bad runtime check %q: %v", cond, err)
-		return func(*frame) bool {
-			panic(engineErr{fmt.Errorf("%s", msg)})
-		}
-	}
-	as := prog.Funcs[0].Body.Stmts[1].(*cminus.AssignStmt)
-	return fc.compileB(as.RHS)
 }
 
 // sortedReductions returns a chosen loop's reduction clauses in sorted

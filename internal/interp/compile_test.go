@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cminus"
@@ -20,7 +21,7 @@ func machineFor(t *testing.T, src, engine string) *Machine {
 	return m
 }
 
-var engines = []string{"compiled", "vm", "tree"}
+var engines = []string{"vm", "tree"}
 
 // TestArrayParamBindingScoped is the regression test for the array
 // binding leak: array arguments used to be bound into the global
@@ -123,9 +124,14 @@ void f(int out[], int n) {
 	}
 }
 
-// TestEngineSelection: unknown engine names error; both real engines
-// compute the same result; top-level return is a normal completion.
+// TestEngineSelection: the engine list is the VM (default) and the tree
+// oracle; the legacy name "compiled" still selects the VM; unknown
+// engine names error; every accepted name computes the same result; a
+// top-level return is a normal completion.
 func TestEngineSelection(t *testing.T) {
+	if got := Engines(); !slices.Equal(got, []string{"vm", "tree"}) {
+		t.Fatalf("Engines() = %v, want [vm tree]", got)
+	}
 	src := `
 int g;
 void f(int n) {
@@ -134,7 +140,7 @@ void f(int n) {
 	g = 0;
 }
 `
-	for _, eng := range []string{"", "compiled", "tree"} {
+	for _, eng := range []string{"", "vm", "compiled", "tree"} {
 		m := machineFor(t, src, eng)
 		if err := m.Call("f", 21); err != nil {
 			t.Fatalf("engine %q: %v", eng, err)
@@ -143,16 +149,25 @@ void f(int n) {
 			t.Fatalf("engine %q: g = %d, want 42", eng, got)
 		}
 	}
-	m := machineFor(t, src, "llvm")
+	// "compiled" runs the VM itself: its bytecode cache fills, which the
+	// tree engine never does.
+	m := machineFor(t, src, "compiled")
+	if err := m.Precompile(); err != nil {
+		t.Fatal(err)
+	}
+	if m.bc == nil {
+		t.Fatal(`engine "compiled" did not compile bytecode`)
+	}
+	m = machineFor(t, src, "llvm")
 	if err := m.Call("f", 1); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
 }
 
-// TestCompiledCallAllocations: after warm-up, a serial compiled call
-// runs out of pooled frames and typed slots — per-call allocations stay
-// at the small constant for argument boxing, independent of loop trip
-// counts.
+// TestCompiledCallAllocations: after warm-up, a serial call on the
+// bytecode VM runs out of pooled frames and typed slots — per-call
+// allocations stay at the small constant for boxing the arguments at
+// the Call boundary, independent of loop trip counts.
 func TestCompiledCallAllocations(t *testing.T) {
 	src := `
 void kernel(int a[], int n) {
@@ -165,7 +180,7 @@ void kernel(int a[], int n) {
 	}
 }
 `
-	m := machineFor(t, src, "compiled")
+	m := machineFor(t, src, "vm")
 	a := NewIntArray("a", 256)
 	if err := m.Call("kernel", a, 256); err != nil {
 		t.Fatal(err)
@@ -178,12 +193,12 @@ void kernel(int a[], int n) {
 	// Arg boxing (interface conversions) costs a handful of allocations;
 	// the 256-iteration loop body must cost none.
 	if avg > 8 {
-		t.Fatalf("compiled Call allocates %.1f allocs/run, want <= 8", avg)
+		t.Fatalf("vm Call allocates %.1f allocs/run, want <= 8", avg)
 	}
 }
 
-// TestCompiledRecursion: the two-phase compile registers the function
-// shell before its body compiles, so self-recursion resolves.
+// TestCompiledRecursion: the bytecode compiler registers every function
+// shell before any body compiles, so self-recursion resolves.
 func TestCompiledRecursion(t *testing.T) {
 	src := `
 int fib(int n) {

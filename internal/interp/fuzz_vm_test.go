@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -33,6 +34,10 @@ var vmFuzzSeeds = []string{
 	`int fib(int n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); } void f(int *out) { out[0] = fib(9); }`,
 	`double g; void f(int n, double *a) { int i; g = 0.0; for (i = 0; i < n; i++) { g = g + a[i] * 0.5; } }`,
 	`void f(int n, int *a) { int i; for (i = 0; i < n; i++) { a[i] = a[i] / (i - 2); } }`,
+	// An implicit local read before its first assignment: the tree walker
+	// rejects it, the vm reads the zero bindEntry writes into every slot,
+	// on a fresh frame and on a pooled one alike.
+	`void f(int n, int *a) { int i; for (i = 0; i < n; i++) { a[i] = s; s = s + i; } }`,
 }
 
 // vmFuzzBudget bounds a VM run so fuzz-generated unbounded loops (and
@@ -95,25 +100,30 @@ func vmFuzzArgs(fn *cminus.FuncDecl) (args []Arg, arrs []*Array) {
 	return args, arrs
 }
 
-// runEngineFuzz parses src fresh (each engine gets its own machine and
-// argument set), runs fn on the named engine, and snapshots the
-// outcome. resource is true when the run hit the step budget — only the
-// vm engine is budgeted, and a budgeted-out input is skipped entirely.
-func runEngineFuzz(src, engine, fnName string, b *budget.B) (snap *engineSnapshot, resource bool) {
+// newFuzzMachine parses src fresh and builds a machine on the named
+// engine. It returns nil when src does not parse or its global
+// initializers fail: both are engine-independent, so there is nothing
+// to compare.
+func newFuzzMachine(src, engine string) *Machine {
 	prog, err := cminus.Parse(src)
 	if err != nil {
-		return nil, false
+		return nil
 	}
 	m, err := New(prog)
 	if err != nil {
-		// Global-initializer errors are engine-independent; nothing to
-		// compare.
-		return nil, false
+		return nil
 	}
 	m.Interp = engine
+	return m
+}
+
+// callFuzz runs fnName on m with a fresh deterministic argument set and
+// snapshots the outcome. resource is true when the run hit the step
+// budget b — only the vm engine is budgeted, and a budgeted-out input is
+// skipped entirely.
+func callFuzz(m *Machine, fnName string, b *budget.B) (snap *engineSnapshot, resource bool) {
 	m.Budget = b
-	fn := prog.Func(fnName)
-	args, arrs := vmFuzzArgs(fn)
+	args, arrs := vmFuzzArgs(m.Prog.Func(fnName))
 	callErr := m.Call(fnName, args...)
 	if callErr != nil && (errors.Is(callErr, budget.ErrBudget) || errors.Is(callErr, budget.ErrCanceled)) {
 		return nil, true
@@ -136,6 +146,30 @@ func runEngineFuzz(src, engine, fnName string, b *budget.B) (snap *engineSnapsho
 		snap.arrays[fmt.Sprintf("p%d", i)] = snapshotArray(a)
 	}
 	return snap, false
+}
+
+// saveGlobals records m's global scalars and global arrays; the returned
+// restore writes them back in place (the bytecode holds the global
+// cells themselves), so a second call on m starts from the same state as
+// the first.
+func saveGlobals(m *Machine) (restore func()) {
+	scalars := map[*Value]Value{}
+	for _, v := range m.Globals {
+		scalars[v] = *v
+	}
+	arrays := map[*Array]*Array{}
+	for _, a := range m.Arrays {
+		arrays[a] = &Array{Ints: slices.Clone(a.Ints), Flts: slices.Clone(a.Flts)}
+	}
+	return func() {
+		for v, old := range scalars {
+			*v = old
+		}
+		for a, old := range arrays {
+			copy(a.Ints, old.Ints)
+			copy(a.Flts, old.Flts)
+		}
+	}
 }
 
 func diffSnapshots(a, b *engineSnapshot) string {
@@ -178,13 +212,13 @@ func diffSnapshots(a, b *engineSnapshot) string {
 }
 
 // treeComparable reports whether fn follows the declare-then-use
-// discipline under which the flat-slot engines are documented (see the
+// discipline under which the flat-slot VM is documented (see the
 // compile.go header) to match the tree walker exactly: all locals are
 // declared, initializer-free, in a prefix of the body. Outside that
 // discipline the tree walker's block scoping and use-before-definition
 // errors legitimately diverge from the per-function zero-initialized
-// slots; such functions are still compared vm-vs-compiled (the two
-// slot engines must always agree) but not against the tree oracle.
+// slots; such functions are checked against the VM itself instead (see
+// checkVMDifferential), not against the tree oracle.
 func treeComparable(prog *cminus.Program, fn *cminus.FuncDecl) bool {
 	// Only scalar declarations make a name a valid scalar assignment
 	// target: assigning an array-typed name (e.g. an int* parameter)
@@ -255,13 +289,17 @@ func treeComparable(prog *cminus.Program, fn *cminus.FuncDecl) bool {
 	return ok
 }
 
-// checkVMDifferential is the shared fuzz body: every function in the
-// program runs through the vm (budgeted), compiled, and tree engines
-// with identical deterministic arguments; outputs and diagnostics must
-// be bit-identical. The vm runs first so a budget abort (unbounded loop
-// or recursion) skips the input before the unbudgeted engines see it —
-// if the vm terminates, the other engines execute the identical
-// instruction trace and terminate too.
+// checkVMDifferential is the shared fuzz body. Every function in the
+// program runs on the vm (budgeted) with deterministic arguments. Where
+// the function is treeComparable, the tree oracle runs it with the same
+// arguments, and outputs and diagnostics must be bit-identical. Elsewhere
+// the vm is checked against itself: a second call on the same machine,
+// from the same globals and arguments, reuses the pooled frames of the
+// first, so any state a frame carries across calls (bindEntry must zero
+// every slot) shows up as a differing snapshot or diagnostic. The vm runs
+// first so a budget abort (unbounded loop or recursion) skips the input
+// before the unbudgeted tree engine sees it — if the vm terminates, the
+// tree engine executes the same program and terminates too.
 func checkVMDifferential(t *testing.T, src string) {
 	t.Helper()
 	if len(src) > 1<<16 {
@@ -279,21 +317,27 @@ func checkVMDifferential(t *testing.T, src string) {
 		if ran++; ran > 8 {
 			break
 		}
-		vm, resource := runEngineFuzz(src, "vm", fn.Name, budget.New(nil, vmFuzzBudget))
+		m := newFuzzMachine(src, "vm")
+		if m == nil {
+			return
+		}
+		restore := saveGlobals(m)
+		vm, resource := callFuzz(m, fn.Name, budget.New(nil, vmFuzzBudget))
 		if resource {
 			continue
 		}
-		if vm == nil {
-			return
-		}
-		comp, _ := runEngineFuzz(src, "compiled", fn.Name, nil)
-		if d := diffSnapshots(vm, comp); d != "" {
-			t.Fatalf("vm vs compiled diverge on %s: %s\ninput: %q", fn.Name, d, src)
-		}
 		if !treeComparable(prog, fn) {
+			restore()
+			again, _ := callFuzz(m, fn.Name, budget.New(nil, vmFuzzBudget))
+			if again == nil {
+				t.Fatalf("vm repeat call on %s hit the budget the first call did not\ninput: %q", fn.Name, src)
+			}
+			if d := diffSnapshots(vm, again); d != "" {
+				t.Fatalf("vm first vs repeat call diverge on %s: %s\ninput: %q", fn.Name, d, src)
+			}
 			continue
 		}
-		tree, _ := runEngineFuzz(src, "tree", fn.Name, nil)
+		tree, _ := callFuzz(newFuzzMachine(src, "tree"), fn.Name, nil)
 		if vm.err != tree.err {
 			t.Fatalf("vm vs tree diagnostics diverge on %s: %q vs %q\ninput: %q", fn.Name, vm.err, tree.err, src)
 		}
@@ -305,9 +349,9 @@ func checkVMDifferential(t *testing.T, src string) {
 	}
 }
 
-// FuzzVMDifferential cross-checks the three engines on fuzz-generated
-// mini-C, seeded with the FuzzAnalyze seed programs and the permanent
-// crashers corpus from internal/core.
+// FuzzVMDifferential cross-checks the vm with the tree oracle (and with
+// itself) on fuzz-generated mini-C, seeded with the FuzzAnalyze seed
+// programs and the permanent crashers corpus from internal/core.
 func FuzzVMDifferential(f *testing.F) {
 	for _, s := range vmFuzzSeeds {
 		f.Add(s)

@@ -25,23 +25,22 @@ type Machine struct {
 	// DynamicChunk, when > 0, uses dynamic scheduling with the given
 	// chunk size instead of static chunking.
 	DynamicChunk int
-	// Interp selects the execution engine: "" or "compiled" for the
-	// slot-resolved closure engine (default), "vm" for the bytecode
-	// machine, "tree" for the original tree-walking oracle. Unknown
-	// names are rejected by Call with the available-engine list.
+	// Interp selects the execution engine: "" or "vm" for the bytecode
+	// VM (default), "tree" for the tree-walking oracle. Unknown names
+	// are rejected by Call with the available-engine list.
 	Interp string
-	// Budget, when non-nil, meters VM execution: the bytecode dispatch
-	// loop bills one Step per vmQuantum instructions, so an exhausted
-	// step budget aborts the run (Call returns an error wrapping
-	// budget.ErrBudget) within one quantum. The tree and compiled
-	// engines do not consume it.
+	// Budget, when non-nil, meters VM execution (so also the default
+	// engine): the bytecode dispatch loop bills one Step per vmQuantum
+	// instructions, so an exhausted step budget aborts the run (Call
+	// returns an error wrapping budget.ErrBudget) within one quantum.
+	// The tree engine does not consume it.
 	Budget *budget.B
 	// Trace, when recording, receives compile-bc spans for bytecode
 	// compilation and exec-vm spans for VM runs. Nil-safe.
 	Trace *trace.Recorder
-	// Ctx cancels a running program: both engines poll it at loop back
-	// edges (every 1024 edges machine-wide) and abort with an error
-	// wrapping budget.ErrCanceled. Nil means non-cancellable.
+	// Ctx cancels a running program: the VM and the tree engine poll it
+	// at loop back edges (every 1024 edges machine-wide) and abort with
+	// an error wrapping budget.ErrCanceled. Nil means non-cancellable.
 	Ctx context.Context
 	// edges counts loop back edges since machine creation; shared across
 	// parallel workers, so polling stays one atomic add per edge.
@@ -54,8 +53,6 @@ type Machine struct {
 	Stats Stats
 	// retVal carries the value of the innermost executing return.
 	retVal Value
-	// comp caches the compiled program; invalidated when Plan changes.
-	comp *compiledProgram
 	// bc caches the bytecode program; invalidated when Plan changes.
 	bc *bytecodeProgram
 	// arrShadows scopes m.Arrays bindings (parameter arrays, local
@@ -178,13 +175,11 @@ func convert(v Value, toFloat bool) Value {
 type Arg interface{}
 
 // Call executes the named function with the given arguments on the
-// engine selected by Interp ("" / "compiled" for the slot-resolved
-// closure engine, "tree" for the tree-walking oracle).
+// engine selected by Interp ("" / "vm" for the bytecode VM, "tree" for
+// the tree-walking oracle).
 func (m *Machine) Call(name string, args ...Arg) error {
 	switch m.Interp {
-	case "", "compiled":
-		return m.callCompiled(name, args)
-	case "vm":
+	case "", "vm", legacyCompiled:
 		return m.callVM(name, args)
 	case "tree":
 		return m.callTree(name, args)
@@ -194,8 +189,14 @@ func (m *Machine) Call(name string, args ...Arg) error {
 }
 
 // Engines lists the selectable execution engines, default first. The
-// empty string is accepted as an alias for "compiled".
-func Engines() []string { return []string{"compiled", "vm", "tree"} }
+// empty string is accepted as an alias for "vm".
+func Engines() []string { return []string{"vm", "tree"} }
+
+// legacyCompiled is the name of the removed closure engine. Call and
+// Precompile still accept it, unlisted, as a spelling of "vm" for one
+// reason: the checked-in benchmark (perfbench) selects engines by that
+// name in its traced exec phase.
+const legacyCompiled = "compiled"
 
 // Precompile validates the selected engine and forces its compilation
 // pipeline over the whole program, so engine typos and code-generation
@@ -205,9 +206,7 @@ func Engines() []string { return []string{"compiled", "vm", "tree"} }
 // flag.
 func (m *Machine) Precompile() error {
 	switch m.Interp {
-	case "", "compiled":
-		m.ensureCompiled()
-	case "vm":
+	case "", "vm", legacyCompiled:
 		m.ensureBytecode()
 	case "tree":
 	default:
@@ -382,7 +381,7 @@ var (
 const backEdgeMask = 1<<10 - 1
 
 // interrupt reports a cancellation error once m.Ctx is done. Both
-// engines call it at every loop back edge; with no context the cost is
+// engines poll it at every loop back edge; with no context the cost is
 // one nil check, with one it is one shared atomic add.
 func (m *Machine) interrupt() error {
 	if m.Ctx == nil {
@@ -397,9 +396,9 @@ func (m *Machine) interrupt() error {
 	return nil
 }
 
-// interruptCompiled is interrupt for the compiled engine, which
-// propagates runtime errors by engineErr panic.
-func (m *Machine) interruptCompiled() {
+// interruptVM is interrupt for the VM, which propagates runtime errors
+// by engineErr panic.
+func (m *Machine) interruptVM() {
 	if err := m.interrupt(); err != nil {
 		panic(engineErr{err})
 	}

@@ -8,14 +8,14 @@ import (
 	"repro/internal/sched"
 )
 
-// The bytecode VM: engine tier 3. The compiler in bytecode.go lowers the
-// slot-resolved IR to a flat []Instr; this file is the runtime — a single
-// for/switch dispatch loop over typed value columns (fr.ints / fr.flts /
-// fr.cells / fr.arrs), with zero interface boxing and zero steady-state
-// allocations. Cycle metering is billed through internal/budget once per
+// The bytecode VM, the default engine. The compiler in bytecode.go
+// lowers the slot-resolved IR to a flat []Instr; this file is the
+// runtime — a single for/switch dispatch loop over typed value columns
+// (fr.ints / fr.flts / fr.cells / fr.arrs), with zero interface boxing
+// and zero steady-state allocations. Cycle metering is billed through internal/budget once per
 // vmQuantum instructions, so a step budget bounds VM work with a
 // deterministic abort point, and context cancellation keeps the same
-// throttled back-edge polls as the other two engines (opEdge).
+// throttled back-edge polls as the tree engine (opEdge).
 
 // vmQuantum is the metering quantum: the dispatch loop bills one
 // Budget.Step(vmQuantum) every vmQuantum instructions, so an exhausted
@@ -95,7 +95,7 @@ func (m *Machine) callVM(name string, args []Arg) (err error) {
 // test is a single unsigned compare — Dims[0] of a 1-D array equals its
 // slice length, so it is never negative) and calls here only to throw,
 // re-deriving which check failed so the error text and ordering match
-// the closure engine exactly.
+// the unfused checks exactly.
 //
 //go:noinline
 func vmArr1Fail(bf *bfunc, a *Array, i int64, aux int32) {
@@ -232,7 +232,7 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32) control {
 			// The explicit float64 conversion forces the product to round
 			// before the add (the Go spec permits fusing otherwise), so
 			// results stay bit-identical with the unfused opFMul+opFAdd
-			// pair the other engines execute.
+			// pair (and with the tree walker).
 			flts[in.A] = flts[in.A] + float64(flts[in.B]*flts[in.C])
 		case opFMulAccL:
 			// flts[A] += flts[B] * arrs[K][ints[C]]: the checked 1-D load
@@ -835,7 +835,7 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32) control {
 			return ctlReturn
 
 		case opEdge:
-			m.interruptCompiled()
+			m.interruptVM()
 
 		case opJNoPar:
 			if m.Workers <= 1 {
@@ -860,7 +860,6 @@ func (m *Machine) runSeg(bf *bfunc, fr *frame, pc int32) control {
 // vmWorkerFrame clones the parent frame into a pooled worker frame:
 // shared scalars and arrays copy through; privatized cells and reduction
 // slots get worker-private storage seeded with the reduction identity.
-// Mirrors cparloop.setup.
 func vmWorkerFrame(bf *bfunc, parent *frame, pl *vparloop) *frame {
 	wfr := bf.newFrame()
 	copy(wfr.ints, parent.ints)
@@ -902,8 +901,9 @@ func vmWorkerFrame(bf *bfunc, parent *frame, pl *vparloop) *frame {
 // runPar executes one chosen parallel loop on the VM, fanning the
 // iteration space out over sched.ParallelLoop. Chunking, per-chunk
 // private resets, reduction identities, and the worker-order error scan
-// and reduction combines mirror cparloop.run exactly, so all three
-// engines produce bit-identical results at equal worker counts.
+// and reduction combines mirror the tree walker's execParallelFor
+// exactly, so both engines produce bit-identical results at equal
+// worker counts.
 func (m *Machine) runPar(bf *bfunc, parent *frame, in *Instr) control {
 	pl := &bf.pars[in.Aux]
 	n := parent.ints[in.B]
@@ -933,7 +933,7 @@ func (m *Machine) runPar(bf *bfunc, parent *frame, in *Instr) control {
 		if pl.ivarCell {
 			c := wfr.cells[pl.ivarSlot]
 			for it := start; it < end; it++ {
-				m.interruptCompiled()
+				m.interruptVM()
 				c.I = it
 				if ctl := m.runSeg(bf, wfr, pl.bodyPC); ctl != ctlNext {
 					return ctl
@@ -943,7 +943,7 @@ func (m *Machine) runPar(bf *bfunc, parent *frame, in *Instr) control {
 		}
 		ivar := pl.ivarSlot
 		for it := start; it < end; it++ {
-			m.interruptCompiled()
+			m.interruptVM()
 			wfr.ints[ivar] = it
 			if ctl := m.runSeg(bf, wfr, pl.bodyPC); ctl != ctlNext {
 				return ctl
@@ -983,7 +983,7 @@ func (m *Machine) runPar(bf *bfunc, parent *frame, in *Instr) control {
 		}
 	}
 	// Anomalies propagate in worker order before reductions combine,
-	// matching the other engines' error scan.
+	// matching the tree walker's error scan.
 	for w := 0; w < workers; w++ {
 		if errs[w] != nil {
 			err := errs[w]

@@ -19,21 +19,10 @@ import (
 // are omitted; the Go toolchain version is always present.
 func String() string {
 	mod := "(devel)"
-	rev := ""
-	modified := false
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		if bi.Main.Version != "" {
-			mod = bi.Main.Version
-		}
-		for _, s := range bi.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				rev = s.Value
-			case "vcs.modified":
-				modified = s.Value == "true"
-			}
-		}
+	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
+		mod = bi.Main.Version
 	}
+	rev, modified := vcs()
 	var b strings.Builder
 	b.WriteString(mod)
 	if rev != "" {
@@ -50,4 +39,35 @@ func String() string {
 	b.WriteString(" ")
 	b.WriteString(runtime.Version())
 	return b.String()
+}
+
+// Revision returns the full VCS revision the build embedded, suffixed
+// "+modified" when the working tree had local changes, or "unknown"
+// when the build carries no VCS stamp.
+func Revision() string {
+	rev, modified := vcs()
+	switch {
+	case rev == "":
+		return "unknown"
+	case modified:
+		return rev + "+modified"
+	}
+	return rev
+}
+
+// vcs reads the embedded VCS revision and dirty flag.
+func vcs() (rev string, modified bool) {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "", false
+	}
+	for _, s := range bi.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			modified = s.Value == "true"
+		}
+	}
+	return rev, modified
 }

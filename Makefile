@@ -31,7 +31,7 @@
 #   make incr-differential — the incremental-analysis gate: edit-script
 #                  byte-identity vs cold runs (serial and 8-worker),
 #                  callee-hash invalidation, the unit store and session
-#                  table, and the /v1/session + delta_of HTTP suites,
+#                  table, and the /v1/session HTTP suite,
 #                  all under the race detector
 #   make perfbench-test — the benchmark's own self-tests (seed
 #                  determinism, verdict preservation, -inject failures);
@@ -140,10 +140,10 @@ chaos-e2e:
 # loop / delete function / reorder) through a shared unit store must be
 # byte-identical to cold runs serially and with 8 workers; editing a
 # callee must invalidate its transitive callers; the session table and
-# /v1/session + delta_of endpoints must hold their bounds — all under
+# /v1/session endpoints must hold their bounds — all under
 # the race detector.
 incr-differential:
-	$(GO) test -race -run 'TestIncr|TestSession|TestDelta' \
+	$(GO) test -race -run 'TestIncr|TestSession' \
 		./internal/incr/ ./internal/core/ ./internal/server/
 
 # The benchmark's self-tests: perfbench/ is its own Go module (with a

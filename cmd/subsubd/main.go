@@ -11,17 +11,16 @@
 //	subsubd [-addr :8723] [-workers N] [-queue N] [-analysis-workers N]
 //	        [-cache-entries N] [-cache-bytes N] [-timeout D] [-budget N]
 //	        [-drain D] [-flight N] [-admin addr]
-//	        [-incr-entries N] [-sessions N] [-session-ttl D] [-recent-requests N]
+//	        [-incr-entries N] [-sessions N] [-session-ttl D]
 //	        [-node name -peers name=url,name=url] [-store-dir dir]
 //
 // Incremental mode (on by default): every analysis runs over a
 // process-level function-granular unit store (internal/incr), so
 // resubmitting a slightly-edited source re-analyzes only the dirty
-// functions. POST /v1/analyze accepts "delta_of": "<request-id>" to
-// inherit a recent request's options, and POST /v1/session opens a
-// long-lived session (patch state, re-analyze per keystroke) bounded by
+// functions. POST /v1/session opens a long-lived session (options kept
+// server-side; patch state, re-analyze per keystroke) bounded by
 // -sessions and expired after -session-ttl idle. -incr-entries -1
-// disables the unit store; -recent-requests -1 disables delta mode.
+// disables the unit store.
 //
 // GET /healthz is the liveness probe (always 200 while the process
 // serves, reporting the build version); GET /readyz is the readiness
@@ -95,7 +94,6 @@ func main() {
 	incrEntries := flag.Int("incr-entries", 0, "max per-function units in the incremental analysis store (0: default 4096; negative: disable incremental reuse)")
 	sessions := flag.Int("sessions", 0, "max live /v1/session sessions, LRU-evicted beyond this (0: default 256)")
 	sessionTTL := flag.Duration("session-ttl", 0, "session idle expiry (0: default 10m)")
-	recentReqs := flag.Int("recent-requests", 0, "request IDs retained for /v1/analyze delta_of (0: default 1024; negative: disable delta mode)")
 	admin := flag.String("admin", "", "admin listen address exposing net/http/pprof (e.g. 127.0.0.1:8724; empty: disabled)")
 	node := flag.String("node", "", "this node's fleet name (required with -peers)")
 	peersFlag := flag.String("peers", "", "comma-separated fleet peers as name=baseURL (e.g. b=http://10.0.0.2:8723,c=http://10.0.0.3:8723)")
@@ -127,11 +125,10 @@ func main() {
 			}
 			return *flight
 		}(),
-		IncrEntries:    *incrEntries,
-		MaxSessions:    *sessions,
-		SessionTTL:     *sessionTTL,
-		RecentRequests: *recentReqs,
-		Logf:           log.Printf,
+		IncrEntries: *incrEntries,
+		MaxSessions: *sessions,
+		SessionTTL:  *sessionTTL,
+		Logf:        log.Printf,
 	}
 
 	var st *store.Store

@@ -23,19 +23,15 @@
 // recompute; the driver then merges in the same deterministic order a
 // cold run uses (sorted function names for properties, source order for
 // nests), so the incremental result is byte-identical to a cold run.
-//
-// The package also provides the bounded TTL session table behind the
-// daemon's /v1/session API (see internal/server).
 package incr
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/lru"
 	"repro/internal/parallelize"
 	"repro/internal/phase2"
 )
@@ -43,35 +39,21 @@ import (
 // DefaultEntries is the unit-store bound when the caller passes 0.
 const DefaultEntries = 4096
 
-// entry is one cached unit: a Pass-1 analysis or a Pass-2 plan set,
-// distinguished by the key's tier segment.
-type entry struct {
-	key string
-	val any
-}
-
-// funcCounter tracks reuse per function name, for the CLI stats table.
-type funcCounter struct {
-	AnalysisHits, AnalysisMisses int64
-	PlanHits, PlanMisses         int64
-}
-
 // Store is a bounded, concurrency-safe LRU of content-addressed
 // per-function analysis units. One store is shared by every analysis the
 // owner runs (a daemon process, a CLI batch), so identical functions
 // reuse across requests, sessions and sources. It implements
 // parallelize.FuncCache.
 type Store struct {
-	mu  sync.Mutex
-	max int
-	ll  *list.List // front = most recently used
-	m   map[string]*list.Element
+	units *lru.Cache[string, any]
+	max   int
 
-	perFunc map[string]*funcCounter
-
-	funcHits, funcMisses atomic.Int64
-	planHits, planMisses atomic.Int64
-	evictions            atomic.Int64
+	// mu guards the reuse counters: the totals, and per function name
+	// for the first max names seen, so the table stays bounded however
+	// many distinct functions a long-lived daemon analyzes.
+	mu      sync.Mutex
+	total   FuncStat
+	perFunc map[string]*FuncStat
 }
 
 var _ parallelize.FuncCache = (*Store)(nil)
@@ -84,115 +66,65 @@ func NewStore(maxEntries int) *Store {
 		maxEntries = DefaultEntries
 	}
 	return &Store{
+		units:   lru.New(lru.Config[string, any]{MaxEntries: maxEntries}),
 		max:     maxEntries,
-		ll:      list.New(),
-		m:       map[string]*list.Element{},
-		perFunc: map[string]*funcCounter{},
+		perFunc: map[string]*FuncStat{},
 	}
 }
 
-// get returns the value under key, refreshing recency.
-func (s *Store) get(key string) (any, bool) {
+// count records one lookup for function fn.
+func (s *Store) count(fn string, plan, hit bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.m[key]
-	if !ok {
-		return nil, false
-	}
-	s.ll.MoveToFront(el)
-	return el.Value.(*entry).val, true
-}
-
-// put stores val under key, evicting from the LRU tail past the bound.
-func (s *Store) put(key string, val any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.m[key]; ok {
-		// Deterministic analysis: a re-put under the same content address
-		// stores an equivalent unit. Just refresh recency.
-		s.ll.MoveToFront(el)
-		return
-	}
-	s.m[key] = s.ll.PushFront(&entry{key: key, val: val})
-	for len(s.m) > s.max {
-		tail := s.ll.Back()
-		if tail == nil {
-			break
-		}
-		ent := tail.Value.(*entry)
-		s.ll.Remove(tail)
-		delete(s.m, ent.key)
-		s.evictions.Add(1)
-	}
-}
-
-// counter returns the per-function counter cell for fn.
-func (s *Store) counter(fn string) *funcCounter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.total.add(plan, hit)
 	c := s.perFunc[fn]
 	if c == nil {
-		c = &funcCounter{}
+		if len(s.perFunc) >= s.max {
+			return
+		}
+		c = &FuncStat{Name: fn}
 		s.perFunc[fn] = c
 	}
-	return c
+	c.add(plan, hit)
 }
 
 // GetAnalysis returns the cached Pass-1 analysis for a unit key. The
 // returned analysis is shared and must be treated as immutable.
 func (s *Store) GetAnalysis(key, fn string) (*phase2.FuncAnalysis, bool) {
-	v, ok := s.get(key)
-	c := s.counter(fn)
-	s.mu.Lock()
-	if ok {
-		c.AnalysisHits++
-	} else {
-		c.AnalysisMisses++
-	}
-	s.mu.Unlock()
+	v, ok := s.units.Get(key)
+	s.count(fn, false, ok)
 	if !ok {
-		s.funcMisses.Add(1)
 		return nil, false
 	}
-	s.funcHits.Add(1)
 	return v.(*phase2.FuncAnalysis), true
 }
 
 // PutAnalysis stores a Pass-1 analysis under its unit key.
 func (s *Store) PutAnalysis(key, fn string, fa *phase2.FuncAnalysis) {
-	s.put(key, fa)
+	s.units.Put(key, fa)
 }
 
 // GetPlans returns the cached Pass-2 loop plans for a plan key.
 func (s *Store) GetPlans(key, fn string) ([]parallelize.LoopPlan, bool) {
-	v, ok := s.get(key)
-	c := s.counter(fn)
-	s.mu.Lock()
-	if ok {
-		c.PlanHits++
-	} else {
-		c.PlanMisses++
-	}
-	s.mu.Unlock()
+	v, ok := s.units.Get(key)
+	s.count(fn, true, ok)
 	if !ok {
-		s.planMisses.Add(1)
 		return nil, false
 	}
-	s.planHits.Add(1)
 	return v.([]parallelize.LoopPlan), true
 }
 
 // PutPlans stores a function's Pass-2 loop plans under their plan key.
 func (s *Store) PutPlans(key, fn string, plans []parallelize.LoopPlan) {
-	s.put(key, plans)
+	s.units.Put(key, plans)
 }
 
 // Len returns the number of cached units.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
+func (s *Store) Len() int { return s.units.Len() }
+
+// LRUStats returns the unit cache's counters; its hits and misses are
+// the Pass-1 and Pass-2 lookups together.
+func (s *Store) LRUStats() lru.Stats { return s.units.Stats() }
 
 // Stats is a snapshot of the store counters.
 type Stats struct {
@@ -207,17 +139,18 @@ type Stats struct {
 
 // Stats returns a snapshot of the cumulative reuse counters.
 func (s *Store) Stats() Stats {
+	us := s.units.Stats()
 	s.mu.Lock()
-	units := len(s.m)
+	t := s.total
 	s.mu.Unlock()
 	return Stats{
-		Units:      units,
+		Units:      us.Entries,
 		MaxUnits:   s.max,
-		FuncHits:   s.funcHits.Load(),
-		FuncMisses: s.funcMisses.Load(),
-		PlanHits:   s.planHits.Load(),
-		PlanMisses: s.planMisses.Load(),
-		Evictions:  s.evictions.Load(),
+		FuncHits:   t.AnalysisHits,
+		FuncMisses: t.AnalysisMisses,
+		PlanHits:   t.PlanHits,
+		PlanMisses: t.PlanMisses,
+		Evictions:  us.Evictions,
 	}
 }
 
@@ -228,16 +161,26 @@ type FuncStat struct {
 	PlanHits, PlanMisses         int64
 }
 
-// FuncStats returns the per-function reuse counters sorted by name.
+func (c *FuncStat) add(plan, hit bool) {
+	switch {
+	case plan && hit:
+		c.PlanHits++
+	case plan:
+		c.PlanMisses++
+	case hit:
+		c.AnalysisHits++
+	default:
+		c.AnalysisMisses++
+	}
+}
+
+// FuncStats returns the per-function reuse counters sorted by name. It
+// covers the first names seen, up to the store's entry bound.
 func (s *Store) FuncStats() []FuncStat {
 	s.mu.Lock()
 	out := make([]FuncStat, 0, len(s.perFunc))
-	for name, c := range s.perFunc {
-		out = append(out, FuncStat{
-			Name:         name,
-			AnalysisHits: c.AnalysisHits, AnalysisMisses: c.AnalysisMisses,
-			PlanHits: c.PlanHits, PlanMisses: c.PlanMisses,
-		})
+	for _, c := range s.perFunc {
+		out = append(out, *c)
 	}
 	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/symbolic"
 	"repro/internal/trace"
 )
@@ -281,11 +282,7 @@ type metrics struct {
 	// failures degraded to local compute.
 	peerFills atomic.Int64 // misses filled from the owning peer
 	fallbacks atomic.Int64 // peer-fill failures degraded to local analysis
-	// Incremental-serving counters: delta requests resolved against the
-	// recent-request table (unit-store reuse counters live on the store).
-	deltaRequests atomic.Int64 // /v1/analyze requests that set delta_of
-	deltaMisses   atomic.Int64 // delta requests naming an unknown/expired ID
-	latency       histogram
+	latency   histogram
 }
 
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -302,9 +299,20 @@ func writeGauge(w io.Writer, name, help string, v float64) {
 	writeMetric(w, name, "gauge", help, fmtFloat(v))
 }
 
+// writeLRUStats renders one cache tier's counters as the five families
+// every tier shares: <prefix>_hits_total, _misses_total,
+// _evictions_total, _entries and _bytes.
+func writeLRUStats(w io.Writer, prefix string, st lru.Stats) {
+	writeCounter(w, prefix+"_hits_total", "Lookups that found their key.", st.Hits)
+	writeCounter(w, prefix+"_misses_total", "Lookups that did not find their key.", st.Misses)
+	writeCounter(w, prefix+"_evictions_total", "Entries dropped to keep the entry or byte bound.", st.Evictions)
+	writeGauge(w, prefix+"_entries", "Entries currently held.", float64(st.Entries))
+	writeGauge(w, prefix+"_bytes", "Bytes currently held (0 without a byte bound).", float64(st.Bytes))
+}
+
 // writeMetrics renders the full scrape: serving counters, admission
-// gauges, the latency histogram with p50/p99, result-cache counters, and
-// the symbolic engine's memoization counters.
+// gauges, the latency histogram with p50/p99, the cache tiers, and the
+// symbolic engine's memoization counters.
 func (s *Server) writeMetrics(w io.Writer) {
 	m := &s.met
 	m.codes.writeTo(w)
@@ -354,45 +362,31 @@ func (s *Server) writeMetrics(w io.Writer) {
 		}
 	}
 
-	// Persistent result store (only when -store-dir is set).
+	// The cache tiers, each through the shared families plus its own
+	// counters: the disk store (only when -store-dir is set), the
+	// per-function unit store (unless disabled), the session table and
+	// the result cache.
 	if s.cfg.Store != nil {
+		writeLRUStats(w, "subsubd_store", s.cfg.Store.LRUStats())
 		st := s.cfg.Store.Stats()
-		writeCounter(w, "subsubd_store_hits_total", "Disk result-store hits.", st.Hits)
-		writeCounter(w, "subsubd_store_misses_total", "Disk result-store misses.", st.Misses)
 		writeCounter(w, "subsubd_store_writes_total", "Entries written to the disk store.", st.Writes)
 		writeCounter(w, "subsubd_store_write_errors_total", "Failed disk-store writes.", st.WriteErrors)
-		writeCounter(w, "subsubd_store_evictions_total", "Disk-store LRU evictions.", st.Evictions)
 		writeCounter(w, "subsubd_store_quarantined_total", "Damaged entries quarantined to .bad files.", st.Quarantined)
 		writeCounter(w, "subsubd_store_tmp_cleaned_total", "Interrupted-write temp files removed at open.", st.TmpCleaned)
-		writeGauge(w, "subsubd_store_entries", "Entries currently in the disk store.", float64(st.Entries))
-		writeGauge(w, "subsubd_store_bytes", "Bytes currently in the disk store.", float64(st.Bytes))
 	}
-
-	// Function-granular incremental reuse (PR 10): the unit store under
-	// every analysis, the session table, and the delta-request counters.
 	if s.incr != nil {
+		writeLRUStats(w, "subsubd_incr", s.incr.LRUStats())
 		ist := s.incr.Stats()
 		writeCounter(w, "subsubd_incr_func_hits_total", "Per-function Pass-1 unit cache hits.", ist.FuncHits)
 		writeCounter(w, "subsubd_incr_func_misses_total", "Per-function Pass-1 unit cache misses.", ist.FuncMisses)
 		writeCounter(w, "subsubd_incr_plan_hits_total", "Per-function Pass-2 plan cache hits.", ist.PlanHits)
 		writeCounter(w, "subsubd_incr_plan_misses_total", "Per-function Pass-2 plan cache misses.", ist.PlanMisses)
-		writeCounter(w, "subsubd_incr_evictions_total", "Incremental unit-store LRU evictions.", ist.Evictions)
-		writeGauge(w, "subsubd_incr_units", "Per-function units currently cached.", float64(ist.Units))
 	}
-	sst := s.sessions.Stats()
-	writeGauge(w, "subsubd_incr_sessions", "Live /v1/session sessions.", float64(sst.Open))
+	writeLRUStats(w, "subsubd_incr_sessions", s.sessions.c.Stats())
+	sst := s.sessions.stats()
 	writeCounter(w, "subsubd_incr_sessions_created_total", "Sessions created.", sst.Created)
-	writeCounter(w, "subsubd_incr_session_evictions_total", "Sessions LRU-evicted at the session bound.", sst.Evicted)
-	writeCounter(w, "subsubd_incr_session_expirations_total", "Sessions expired by the idle TTL.", sst.Expired)
-	writeCounter(w, "subsubd_delta_requests_total", "Analyze requests that set delta_of.", m.deltaRequests.Load())
-	writeCounter(w, "subsubd_delta_misses_total", "Delta requests naming an unknown or expired request ID.", m.deltaMisses.Load())
-
-	cs := s.cache.stats()
-	writeCounter(w, "subsubd_cache_hits_total", "Content-addressed result cache hits.", cs.Hits)
-	writeCounter(w, "subsubd_cache_misses_total", "Content-addressed result cache misses.", cs.Misses)
-	writeCounter(w, "subsubd_cache_evictions_total", "Result cache LRU evictions.", cs.Evictions)
-	writeGauge(w, "subsubd_cache_entries", "Responses currently cached.", float64(cs.Entries))
-	writeGauge(w, "subsubd_cache_bytes", "Bytes of response bodies currently cached.", float64(cs.Bytes))
+	writeCounter(w, "subsubd_incr_sessions_expirations_total", "Sessions expired by the idle TTL.", sst.Expired)
+	writeLRUStats(w, "subsubd_cache", s.cache.Stats())
 
 	// Latency histogram with estimated quantiles.
 	h := &m.latency

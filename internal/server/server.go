@@ -5,7 +5,7 @@
 //
 //  1. a content-addressed result cache — responses stored under the
 //     SHA-256 of the canonicalized request, replayed byte-identically with
-//     no TTL (see cache.go);
+//     no TTL (an internal/lru cache bounded by entries and bytes);
 //  2. request coalescing — concurrent identical requests share one
 //     in-flight analysis (see singleflight.go);
 //  3. admission control — a bounded worker pool with a queue-depth limit
@@ -48,6 +48,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/incr"
+	"repro/internal/lru"
 	"repro/internal/store"
 	"repro/internal/symbolic"
 	"repro/internal/trace"
@@ -99,14 +100,9 @@ type Config struct {
 	IncrEntries int
 	// MaxSessions / SessionTTL bound the /v1/session table: at most
 	// MaxSessions live sessions (LRU-evicted beyond that) and each
-	// session expires after SessionTTL idle. Zero values select the
-	// incr defaults.
+	// session expires after SessionTTL idle (defaults 256 and 10m).
 	MaxSessions int
 	SessionTTL  time.Duration
-	// RecentRequests bounds the request-ID → normalized-request table
-	// behind /v1/analyze's delta mode (default 1024; negative disables
-	// delta requests).
-	RecentRequests int
 
 	// Cluster, when non-nil, shards the key space across a peer fleet:
 	// misses on keys owned by a healthy remote peer are filled from that
@@ -124,7 +120,6 @@ type Config struct {
 	noQueue  bool // set by New when the caller explicitly passed MaxQueue < 0
 	noFlight bool // set by New when the caller explicitly passed FlightRecorderSize < 0
 	noIncr   bool // set by New when the caller explicitly passed IncrEntries < 0
-	noDelta  bool // set by New when the caller explicitly passed RecentRequests < 0
 }
 
 func (c *Config) applyDefaults() {
@@ -161,11 +156,11 @@ func (c *Config) applyDefaults() {
 	if c.IncrEntries < 0 {
 		c.IncrEntries = 0
 	}
-	if c.RecentRequests == 0 && !c.noDelta {
-		c.RecentRequests = 1024
+	if c.MaxSessions <= 0 {
+		c.MaxSessions = 256
 	}
-	if c.RecentRequests < 0 {
-		c.RecentRequests = 0
+	if c.SessionTTL <= 0 {
+		c.SessionTTL = 10 * time.Minute
 	}
 }
 
@@ -173,7 +168,7 @@ func (c *Config) applyDefaults() {
 type Server struct {
 	cfg    Config
 	mux    *http.ServeMux
-	cache  *resultCache
+	cache  *lru.Cache[string, []byte]
 	flight flightGroup
 	met    metrics
 
@@ -201,11 +196,9 @@ type Server struct {
 
 	// incr is the process-level function-granular unit store threaded
 	// into every analysis (nil when disabled); sessions is the
-	// /v1/session table; recent backs /v1/analyze's delta mode (nil
-	// when disabled).
+	// /v1/session table.
 	incr     *incr.Store
-	sessions *incr.Sessions
-	recent   *recentTable
+	sessions *sessionTable
 
 	// analyze produces the encoded response for a normalized request. The
 	// context carries the analysis deadline; honouring it is what frees the
@@ -230,21 +223,19 @@ func New(cfg Config) *Server {
 	if cfg.IncrEntries < 0 {
 		cfg.noIncr = true
 	}
-	if cfg.RecentRequests < 0 {
-		cfg.noDelta = true
-	}
 	cfg.applyDefaults()
 	s := &Server{
-		cfg:   cfg,
-		cache: newResultCache(cfg.CacheEntries, cfg.CacheBytes),
-		sem:   make(chan struct{}, cfg.Workers),
+		cfg: cfg,
+		cache: lru.New(lru.Config[string, []byte]{
+			MaxEntries: cfg.CacheEntries,
+			MaxBytes:   cfg.CacheBytes,
+			Size:       func(_ string, body []byte) int64 { return int64(len(body)) },
+		}),
+		sessions: newSessionTable(cfg.MaxSessions, cfg.SessionTTL, time.Now),
+		sem:      make(chan struct{}, cfg.Workers),
 	}
 	if !cfg.noIncr {
 		s.incr = incr.NewStore(cfg.IncrEntries)
-	}
-	s.sessions = incr.NewSessions(cfg.MaxSessions, cfg.SessionTTL)
-	if cfg.RecentRequests > 0 {
-		s.recent = newRecentTable(cfg.RecentRequests)
 	}
 	var boot [4]byte
 	rand.Read(boot[:])
@@ -308,16 +299,6 @@ type AnalyzeRequest struct {
 	Inline bool `json:"inline,omitempty"`
 	// Annotate includes the OpenMP-annotated source in each result.
 	Annotate bool `json:"annotate,omitempty"`
-	// DeltaOf makes this a delta request: supply only the edited
-	// sources and name a recent request ID (the X-Request-Id echoed on
-	// a prior response) to inherit that request's level, assumptions,
-	// inline and annotate settings. The request is then served like any
-	// other — the function-granular unit store is what makes the
-	// re-analysis cheap. Unknown or expired IDs fail with 404; a delta
-	// request that sets its own options fails with 400. DeltaOf never
-	// enters the cache key (cacheKey enumerates its fields), so a delta
-	// request and the equivalent full request share a content address.
-	DeltaOf string `json:"delta_of,omitempty"`
 }
 
 // normalize canonicalizes the request in place so that requests meaning
@@ -508,7 +489,7 @@ func (s *Server) produce(ctx context.Context, key, reqID string, req *AnalyzeReq
 				body, err := s.cfg.Cluster.Fill(ctx, owner, raw, reqID, tr)
 				if err == nil {
 					s.met.peerFills.Add(1)
-					s.cache.put(key, body)
+					s.cache.Put(key, body)
 					s.storePut(key, body)
 					return body, nil
 				}
@@ -526,7 +507,7 @@ func (s *Server) produce(ctx context.Context, key, reqID string, req *AnalyzeReq
 	s.met.analyses.Add(1)
 	body, err := s.analyze(ctx, req, tr)
 	if err == nil {
-		s.cache.put(key, body)
+		s.cache.Put(key, body)
 		s.storePut(key, body)
 	}
 	return body, err
@@ -625,76 +606,35 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "request body unreadable or over the size limit", http.StatusRequestEntityTooLarge)
 		return
 	}
-	var req AnalyzeRequest
+	var req struct {
+		AnalyzeRequest
+		// DeltaOf belongs to the removed delta mode. It is decoded only
+		// to reject it: without its options such a body would be
+		// analyzed under the defaults.
+		DeltaOf json.RawMessage `json:"delta_of"`
+	}
 	if err := json.Unmarshal(body, &req); err != nil {
 		http.Error(w, "bad request JSON: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if req.DeltaOf != "" {
-		if !s.resolveDelta(w, &req) {
-			return
-		}
+	if req.DeltaOf != nil {
+		http.Error(w, "delta_of is no longer supported: keep options server-side with POST /v1/session", http.StatusBadRequest)
+		return
 	}
 	if err := req.normalize(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.rememberRequest(reqID, &req)
-	s.serveAnalyze(w, r, &req, reqID, isFill, start)
-}
-
-// resolveDelta rewrites a delta request in place: the named prior
-// request contributes every option, the delta contributes only sources.
-// It writes the error response and returns false when the delta cannot
-// be resolved.
-func (s *Server) resolveDelta(w http.ResponseWriter, req *AnalyzeRequest) bool {
-	s.met.deltaRequests.Add(1)
-	if s.recent == nil {
-		http.Error(w, "delta_of: delta requests are disabled (RecentRequests < 0)", http.StatusNotFound)
-		return false
-	}
-	if req.Level != "" || len(req.Assume) > 0 || req.Inline || req.Annotate {
-		http.Error(w, "delta_of: a delta request supplies only sources; level/assume/inline/annotate are inherited from the prior request", http.StatusBadRequest)
-		return false
-	}
-	if req.Source == "" && len(req.Sources) == 0 {
-		http.Error(w, "delta_of: no sources: set \"source\" or \"sources\"", http.StatusBadRequest)
-		return false
-	}
-	prior, ok := s.recent.get(req.DeltaOf)
-	if !ok {
-		s.met.deltaMisses.Add(1)
-		http.Error(w, "delta_of: unknown or expired request ID", http.StatusNotFound)
-		return false
-	}
-	req.Level = prior.Level
-	req.Assume = append([]string(nil), prior.Assume...)
-	req.Inline = prior.Inline
-	req.Annotate = prior.Annotate
-	req.DeltaOf = ""
-	return true
-}
-
-// rememberRequest records a normalized request under its ID so later
-// delta requests can inherit its options.
-func (s *Server) rememberRequest(reqID string, req *AnalyzeRequest) {
-	if s.recent == nil {
-		return
-	}
-	cp := *req
-	cp.Sources = append([]SourceJSON(nil), req.Sources...)
-	cp.Assume = append([]string(nil), req.Assume...)
-	s.recent.put(reqID, &cp)
+	s.serveAnalyze(w, r, &req.AnalyzeRequest, reqID, isFill, start)
 }
 
 // serveAnalyze is the shared serving path for a normalized request —
-// /v1/analyze, its delta mode, and /v1/session analyze all flow through
-// here, so the content-addressed cache, the persistent store, request
+// /v1/analyze and /v1/session analyze both flow through here, so the content-addressed cache, the persistent store, request
 // coalescing, admission control and the detached-leader deadline apply
 // identically to every entry point.
 func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, req *AnalyzeRequest, reqID string, isFill bool, start time.Time) {
 	key := req.cacheKey()
-	if cached, ok := s.cache.get(key); ok {
+	if cached, ok := s.cache.Get(key); ok {
 		s.writeAnalysis(w, cached, "hit")
 		return
 	}
@@ -702,7 +642,7 @@ func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request, req *Analy
 	// quarantines anything damaged rather than serving it).
 	if s.cfg.Store != nil {
 		if stored, ok := s.cfg.Store.Get(key); ok {
-			s.cache.put(key, stored)
+			s.cache.Put(key, stored)
 			s.writeAnalysis(w, stored, "disk")
 			return
 		}
@@ -903,8 +843,8 @@ type statsJSON struct {
 	Store   *store.Stats   `json:"store,omitempty"`
 	// Incr reports the function-granular unit store (nil when disabled);
 	// Sessions reports the /v1/session table.
-	Incr     *incr.Stats        `json:"incr,omitempty"`
-	Sessions *incr.SessionStats `json:"sessions,omitempty"`
+	Incr     *incr.Stats   `json:"incr,omitempty"`
+	Sessions *sessionStats `json:"sessions,omitempty"`
 	// Faults reports the failpoint registry, so operators and the chaos
 	// suite can verify what is armed on a live process.
 	Faults struct {
@@ -928,13 +868,22 @@ type statsJSON struct {
 		RecoveredPanics int64            `json:"recovered_panics"`
 		PeerFills       int64            `json:"peer_fills"`
 		Fallbacks       int64            `json:"fallbacks"`
-		DeltaRequests   int64            `json:"delta_requests"`
-		DeltaMisses     int64            `json:"delta_misses"`
 		QueueDepth      int64            `json:"queue_depth"`
 		Inflight        int              `json:"inflight"`
 		Workers         int              `json:"workers"`
 		Draining        bool             `json:"draining"`
 	} `json:"server"`
+}
+
+// cacheStats is the result cache's /v1/stats view.
+type cacheStats struct {
+	Entries    int   `json:"entries"`
+	Bytes      int64 `json:"bytes"`
+	MaxEntries int   `json:"max_entries"`
+	MaxBytes   int64 `json:"max_bytes"`
+	Hits       int64 `json:"hits"`
+	Misses     int64 `json:"misses"`
+	Evictions  int64 `json:"evictions"`
 }
 
 // stageJSON is one pipeline stage's cumulative statistics in /v1/stats.
@@ -1006,7 +955,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.SymbolicCache.Interned = sc.Interned
 	st.SymbolicCache.Entries = sc.Entries
 	st.SymbolicCache.HitRate = sc.HitRate()
-	st.ResultCache = s.cache.stats()
+	cs := s.cache.Stats()
+	st.ResultCache = cacheStats{
+		Entries:    cs.Entries,
+		Bytes:      cs.Bytes,
+		MaxEntries: s.cfg.CacheEntries,
+		MaxBytes:   s.cfg.CacheBytes,
+		Hits:       cs.Hits,
+		Misses:     cs.Misses,
+		Evictions:  cs.Evictions,
+	}
 	if s.cfg.Cluster != nil {
 		cs := s.cfg.Cluster.Stats()
 		st.Cluster = &cs
@@ -1019,7 +977,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ist := s.incr.Stats()
 		st.Incr = &ist
 	}
-	sst := s.sessions.Stats()
+	sst := s.sessions.stats()
 	st.Sessions = &sst
 	st.Faults.Armed = faults.Armed()
 	st.Faults.Points = faults.List()
@@ -1028,8 +986,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.Server.RequestsByCode = s.met.codes.snapshot()
 	st.Server.PeerFills = s.met.peerFills.Load()
 	st.Server.Fallbacks = s.met.fallbacks.Load()
-	st.Server.DeltaRequests = s.met.deltaRequests.Load()
-	st.Server.DeltaMisses = s.met.deltaMisses.Load()
 	st.Server.Analyses = s.met.analyses.Load()
 	st.Server.Coalesced = s.met.coalesced.Load()
 	st.Server.Shed = s.met.shed.Load()

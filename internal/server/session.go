@@ -24,71 +24,108 @@ package server
 // how many clients come and go.
 
 import (
-	"container/list"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/incr"
+	"repro/internal/lru"
 )
 
-// recentTable is a bounded LRU of request ID → normalized request,
-// backing /v1/analyze's delta_of mode.
-type recentTable struct {
-	mu  sync.Mutex
-	max int
-	ll  *list.List
-	m   map[string]*list.Element
+// session is one editing session: the normalized request it holds and
+// its bookkeeping. The table's mu guards the fields of a live session.
+type session struct {
+	ID                string
+	State             *AnalyzeRequest
+	Created, LastUsed time.Time
+	// Analyses counts analyze calls made through the session.
+	Analyses int64
 }
 
-type recentEntry struct {
-	id  string
-	req *AnalyzeRequest
+// sessionTable is the bounded, idle-expiring /v1/session table. Expiry
+// is lazy (swept on access), so the table needs no goroutine and drain
+// ordering stays trivial.
+type sessionTable struct {
+	c       *lru.Cache[string, *session]
+	mu      sync.Mutex
+	now     func() time.Time
+	max     int
+	ttl     time.Duration
+	created atomic.Int64
 }
 
-func newRecentTable(max int) *recentTable {
-	return &recentTable{max: max, ll: list.New(), m: map[string]*list.Element{}}
-}
-
-func (t *recentTable) put(id string, req *AnalyzeRequest) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if el, ok := t.m[id]; ok {
-		el.Value.(*recentEntry).req = req
-		t.ll.MoveToFront(el)
-		return
-	}
-	t.m[id] = t.ll.PushFront(&recentEntry{id: id, req: req})
-	for len(t.m) > t.max {
-		tail := t.ll.Back()
-		if tail == nil {
-			break
-		}
-		ent := tail.Value.(*recentEntry)
-		t.ll.Remove(tail)
-		delete(t.m, ent.id)
+func newSessionTable(max int, ttl time.Duration, now func() time.Time) *sessionTable {
+	return &sessionTable{
+		c:   lru.New(lru.Config[string, *session]{MaxEntries: max, TTL: ttl, Now: now}),
+		now: now,
+		max: max,
+		ttl: ttl,
 	}
 }
 
-func (t *recentTable) get(id string) (*AnalyzeRequest, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	el, ok := t.m[id]
+// create registers a session holding state. A full table forgets its
+// least recently used session: interactive sessions are never refused,
+// only forgotten when abandoned longest.
+func (t *sessionTable) create(state *AnalyzeRequest) session {
+	var id [16]byte
+	if _, err := rand.Read(id[:]); err != nil {
+		panic(err) // crypto/rand never fails on supported platforms
+	}
+	now := t.now()
+	sn := &session{ID: hex.EncodeToString(id[:]), State: state, Created: now, LastUsed: now}
+	t.c.Put(sn.ID, sn)
+	t.created.Add(1)
+	return *sn
+}
+
+// update applies fn to the live session, marks it used and returns a
+// copy; ok is false for an unknown, closed or expired ID. A nil fn only
+// reads.
+func (t *sessionTable) update(id string, fn func(*session)) (session, bool) {
+	live, ok := t.c.Get(id)
 	if !ok {
-		return nil, false
+		return session{}, false
 	}
-	t.ll.MoveToFront(el)
-	return el.Value.(*recentEntry).req, true
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if fn != nil {
+		fn(live)
+	}
+	live.LastUsed = t.now()
+	return *live, true
+}
+
+// sessionStats is the session table's /v1/stats view.
+type sessionStats struct {
+	Open        int   `json:"open"`
+	MaxSessions int   `json:"max_sessions"`
+	TTLSeconds  int64 `json:"ttl_seconds"`
+	Created     int64 `json:"created"`
+	Evicted     int64 `json:"evicted"`
+	Expired     int64 `json:"expired"`
+}
+
+func (t *sessionTable) stats() sessionStats {
+	st := t.c.Stats()
+	return sessionStats{
+		Open:        st.Entries,
+		MaxSessions: t.max,
+		TTLSeconds:  int64(t.ttl / time.Second),
+		Created:     t.created.Load(),
+		Evicted:     st.Evictions,
+		Expired:     st.Expirations,
+	}
 }
 
 // CloseSessions drops every live session (daemon shutdown, after the
 // HTTP listener has drained) and returns how many were open.
-func (s *Server) CloseSessions() int { return s.sessions.CloseAll() }
+func (s *Server) CloseSessions() int { return s.sessions.c.Clear() }
 
 // sessionPatch is the body of POST /v1/session/{id}/patch. Pointer
 // fields distinguish "leave unchanged" (absent) from "set to the zero
@@ -112,14 +149,6 @@ type sessionJSON struct {
 	State    *AnalyzeRequest `json:"state"`
 }
 
-// sessionState reads the request stored in a session.
-func sessionState(sn incr.Session) *AnalyzeRequest {
-	if req, ok := sn.State.(*AnalyzeRequest); ok {
-		return req
-	}
-	return &AnalyzeRequest{}
-}
-
 // copyRequest deep-copies the slices so session state is never aliased
 // by an in-flight analysis.
 func copyRequest(req *AnalyzeRequest) *AnalyzeRequest {
@@ -134,9 +163,6 @@ func copyRequest(req *AnalyzeRequest) *AnalyzeRequest {
 // whatever is set must already be valid, so errors surface at
 // create/patch time rather than at analyze time.
 func validateState(req *AnalyzeRequest) error {
-	if req.DeltaOf != "" {
-		return errors.New("delta_of is not valid in session state")
-	}
 	if req.Source != "" || len(req.Sources) > 0 {
 		return req.normalize()
 	}
@@ -148,7 +174,7 @@ func validateState(req *AnalyzeRequest) error {
 	return nil
 }
 
-func (s *Server) writeSession(w http.ResponseWriter, code int, sn incr.Session) {
+func (s *Server) writeSession(w http.ResponseWriter, code int, sn session) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -158,7 +184,7 @@ func (s *Server) writeSession(w http.ResponseWriter, code int, sn incr.Session) 
 		Created:  sn.Created,
 		LastUsed: sn.LastUsed,
 		Analyses: sn.Analyses,
-		State:    sessionState(sn),
+		State:    sn.State,
 	})
 }
 
@@ -198,14 +224,14 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sn := s.sessions.Create(&state)
+	sn := s.sessions.create(&state)
 	s.logf("session %s created", sn.ID)
-	s.writeSession(w, http.StatusCreated, *sn)
+	s.writeSession(w, http.StatusCreated, sn)
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	sn, err := s.sessions.Get(r.PathValue("id"))
-	if err != nil {
+	sn, ok := s.sessions.update(r.PathValue("id"), nil)
+	if !ok {
 		http.Error(w, "unknown, closed or expired session", http.StatusNotFound)
 		return
 	}
@@ -221,12 +247,12 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	sn, err := s.sessions.Get(id)
-	if err != nil {
+	sn, ok := s.sessions.update(id, nil)
+	if !ok {
 		http.Error(w, "unknown, closed or expired session", http.StatusNotFound)
 		return
 	}
-	next := copyRequest(sessionState(sn))
+	next := copyRequest(sn.State)
 	if p.Sources != nil {
 		next.Sources = append([]SourceJSON(nil), (*p.Sources)...)
 	}
@@ -258,11 +284,8 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var updated incr.Session
-	if err := s.sessions.Update(id, func(live *incr.Session) {
-		live.State = next
-		updated = *live
-	}); err != nil {
+	updated, ok := s.sessions.update(id, func(live *session) { live.State = next })
+	if !ok {
 		http.Error(w, "unknown, closed or expired session", http.StatusNotFound)
 		return
 	}
@@ -283,14 +306,12 @@ func (s *Server) handleSessionAnalyze(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	id := r.PathValue("id")
-	var req *AnalyzeRequest
-	if err := s.sessions.Update(id, func(live *incr.Session) {
-		live.Analyses++
-		req = copyRequest(sessionState(*live))
-	}); err != nil {
+	sn, ok := s.sessions.update(id, func(live *session) { live.Analyses++ })
+	if !ok {
 		http.Error(w, "unknown, closed or expired session", http.StatusNotFound)
 		return
 	}
+	req := copyRequest(sn.State)
 	if err := req.normalize(); err != nil {
 		http.Error(w, "session has no analyzable state: "+err.Error(), http.StatusBadRequest)
 		return
@@ -301,13 +322,12 @@ func (s *Server) handleSessionAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Request-Id", reqID)
 	w.Header().Set("X-Subsubd-Session", id)
-	s.rememberRequest(reqID, req)
 	s.serveAnalyze(w, r, req, reqID, false, start)
 }
 
 func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if err := s.sessions.Close(id); err != nil {
+	if !s.sessions.c.Remove(id) {
 		http.Error(w, "unknown, closed or expired session", http.StatusNotFound)
 		return
 	}

@@ -1,10 +1,10 @@
 package server
 
-// End-to-end tests for the /v1/session API and /v1/analyze's delta_of
-// mode, over real HTTP. The load-bearing invariant: a session analyze
-// returns bytes identical to POSTing the same state to /v1/analyze,
-// because both flow through the same serving path. All of these run
-// under -race in `make incr-differential`.
+// Tests for the /v1/session API: the session table itself, then the
+// endpoints over real HTTP. The load-bearing invariant: a session
+// analyze returns bytes identical to POSTing the same state to
+// /v1/analyze, because both flow through the same serving path. All of
+// these run under -race in `make incr-differential`.
 
 import (
 	"bytes"
@@ -13,8 +13,110 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
+
+func TestSessionTTLExpiry(t *testing.T) {
+	now := time.Unix(1000, 0)
+	tbl := newSessionTable(4, time.Minute, func() time.Time { return now })
+
+	sn := tbl.create(nil)
+	if _, ok := tbl.update(sn.ID, nil); !ok {
+		t.Fatal("fresh session not found")
+	}
+	now = now.Add(2 * time.Minute)
+	if _, ok := tbl.update(sn.ID, nil); ok {
+		t.Fatal("expired session still found")
+	}
+	st := tbl.stats()
+	if st.Expired != 1 || st.Open != 0 {
+		t.Errorf("stats = %+v, want Expired 1, Open 0", st)
+	}
+}
+
+func TestSessionGetRefreshesTTL(t *testing.T) {
+	now := time.Unix(1000, 0)
+	tbl := newSessionTable(4, time.Minute, func() time.Time { return now })
+
+	sn := tbl.create(nil)
+	for i := 0; i < 3; i++ {
+		now = now.Add(45 * time.Second) // past half the TTL, under all of it
+		if _, ok := tbl.update(sn.ID, nil); !ok {
+			t.Fatalf("step %d: session expired although it was read within the TTL", i)
+		}
+	}
+}
+
+func TestSessionBoundEviction(t *testing.T) {
+	tbl := newSessionTable(2, time.Hour, time.Now)
+	a := tbl.create(&AnalyzeRequest{Name: "a"})
+	b := tbl.create(&AnalyzeRequest{Name: "b"})
+	c := tbl.create(&AnalyzeRequest{Name: "c"}) // evicts a (LRU)
+	if n := tbl.stats().Open; n != 2 {
+		t.Fatalf("Open = %d, want 2", n)
+	}
+	if _, ok := tbl.update(a.ID, nil); ok {
+		t.Error("oldest session should have been evicted at the bound")
+	}
+	for _, sn := range []session{b, c} {
+		if _, ok := tbl.update(sn.ID, nil); !ok {
+			t.Errorf("session %s should be live", sn.ID)
+		}
+	}
+	if ev := tbl.stats().Evicted; ev != 1 {
+		t.Errorf("Evicted = %d, want 1", ev)
+	}
+}
+
+// TestSessionConcurrentUpdate: concurrent analyze-style updates of one
+// session lose no increment (run under -race).
+func TestSessionConcurrentUpdate(t *testing.T) {
+	tbl := newSessionTable(4, time.Minute, time.Now)
+	sn := tbl.create(&AnalyzeRequest{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				tbl.update(sn.ID, func(s *session) { s.Analyses++ })
+				tbl.update(sn.ID, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	if got, _ := tbl.update(sn.ID, nil); got.Analyses != 800 {
+		t.Errorf("Analyses = %d, want 800", got.Analyses)
+	}
+}
+
+func TestSessionUpdateAndClose(t *testing.T) {
+	tbl := newSessionTable(256, 10*time.Minute, time.Now)
+	sn := tbl.create(&AnalyzeRequest{Name: "v1"})
+	if _, ok := tbl.update(sn.ID, func(s *session) { s.State = &AnalyzeRequest{Name: "v2"}; s.Analyses++ }); !ok {
+		t.Fatal("update of a live session failed")
+	}
+	got, ok := tbl.update(sn.ID, nil)
+	if !ok {
+		t.Fatal("session lost after update")
+	}
+	if got.State.Name != "v2" || got.Analyses != 1 {
+		t.Errorf("session = %+v, want State v2, Analyses 1", got)
+	}
+	if !tbl.c.Remove(sn.ID) {
+		t.Fatal("close of a live session failed")
+	}
+	if tbl.c.Remove(sn.ID) {
+		t.Error("double close should fail")
+	}
+	tbl.create(&AnalyzeRequest{Name: "x"})
+	tbl.create(&AnalyzeRequest{Name: "y"})
+	if n := tbl.c.Clear(); n != 2 {
+		t.Errorf("CloseAll = %d, want 2", n)
+	}
+}
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
@@ -131,7 +233,7 @@ func TestSessionLifecycle(t *testing.T) {
 	metrics := fetch(t, ts.URL+"/metrics")
 	for _, want := range []string{
 		"subsubd_incr_sessions_created_total 1",
-		"subsubd_incr_sessions 0",
+		"subsubd_incr_sessions_entries 0",
 		"subsubd_incr_func_misses_total",
 	} {
 		if !strings.Contains(metrics, want) {
@@ -172,10 +274,6 @@ func TestSessionValidation(t *testing.T) {
 	resp, _ := postJSON(t, ts.URL+"/v1/session", AnalyzeRequest{Source: testSrc, Level: "bogus"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("create with bad level = %s, want 400", resp.Status)
-	}
-	resp, _ = postJSON(t, ts.URL+"/v1/session", AnalyzeRequest{Source: testSrc, DeltaOf: "abc"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("create with delta_of = %s, want 400", resp.Status)
 	}
 
 	id := createSession(t, ts.URL, nil) // empty state is fine
@@ -251,74 +349,20 @@ func TestSessionBoundedTable(t *testing.T) {
 	}
 }
 
-// TestDeltaOf: a delta request names a prior request ID, supplies only
-// sources, inherits the prior options, and returns the same bytes as
-// the equivalent full request.
-func TestDeltaOf(t *testing.T) {
+// TestAnalyzeRejectsDeltaOf: the removed delta mode's field is refused
+// with a pointer to /v1/session, never analyzed under default options.
+func TestAnalyzeRejectsDeltaOf(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	full := AnalyzeRequest{Source: testSrc, Name: "evsl.c", Level: "base", Assume: []string{"npts"}}
-	resp, _ := postAnalyze(t, ts.URL, full)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("full request = %s", resp.Status)
-	}
-	reqID := resp.Header.Get("X-Request-Id")
-	if reqID == "" {
-		t.Fatal("no X-Request-Id on the full response")
-	}
-
-	edited := strings.Replace(testSrc, "y[ind[j]] + 1.0", "y[ind[j]] + 3.0", 1)
-	resp, deltaBody := postAnalyze(t, ts.URL, AnalyzeRequest{
-		DeltaOf: reqID,
-		Sources: []SourceJSON{{Name: "evsl.c", Src: edited}},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("delta request = %s, body: %s", resp.Status, deltaBody)
-	}
-	_, fullBody := postAnalyze(t, ts.URL, AnalyzeRequest{
-		Sources: []SourceJSON{{Name: "evsl.c", Src: edited}},
-		Level:   "base", Assume: []string{"npts"},
-	})
-	if !bytes.Equal(deltaBody, fullBody) {
-		t.Fatal("delta response differs from the equivalent full request")
-	}
-
-	// Unknown ID: 404. Explicit options or missing sources: 400.
-	resp, _ = postAnalyze(t, ts.URL, AnalyzeRequest{DeltaOf: "nope", Sources: []SourceJSON{{Src: testSrc}}})
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown delta_of = %s, want 404", resp.Status)
-	}
-	resp, _ = postAnalyze(t, ts.URL, AnalyzeRequest{DeltaOf: reqID, Level: "new", Sources: []SourceJSON{{Src: testSrc}}})
+	resp, body := postJSON(t, ts.URL+"/v1/analyze",
+		map[string]any{"delta_of": "abc", "sources": []SourceJSON{{Src: testSrc}}})
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("delta_of with options = %s, want 400", resp.Status)
+		t.Fatalf("delta_of = %s, want 400", resp.Status)
 	}
-	resp, _ = postAnalyze(t, ts.URL, AnalyzeRequest{DeltaOf: reqID})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("delta_of without sources = %s, want 400", resp.Status)
-	}
-
-	metrics := fetch(t, ts.URL+"/metrics")
-	for _, want := range []string{"subsubd_delta_requests_total 4", "subsubd_delta_misses_total 1"} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-}
-
-// TestDeltaDisabled: RecentRequests < 0 turns the recent table off;
-// every delta_of then 404s rather than silently recomputing.
-func TestDeltaDisabled(t *testing.T) {
-	s := New(Config{RecentRequests: -1})
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	resp, _ := postAnalyze(t, ts.URL, AnalyzeRequest{Source: testSrc})
-	reqID := resp.Header.Get("X-Request-Id")
-	resp, _ = postAnalyze(t, ts.URL, AnalyzeRequest{DeltaOf: reqID, Sources: []SourceJSON{{Src: testSrc}}})
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("delta_of with table disabled = %s, want 404", resp.Status)
+	if !strings.Contains(string(body), "/v1/session") {
+		t.Errorf("400 body %q does not point to /v1/session", body)
 	}
 }
 

@@ -31,7 +31,6 @@ package store
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -39,10 +38,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/faults"
+	"repro/internal/lru"
 )
 
 const (
@@ -57,24 +56,14 @@ const (
 type Store struct {
 	dir      string
 	maxBytes int64
+	// index maps each visible entry's key to its file size (header
+	// included); evicting a key removes its file.
+	index *lru.Cache[string, int64]
 
-	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	index map[string]*list.Element
-	bytes int64
-
-	hits        atomic.Int64
-	misses      atomic.Int64
 	writes      atomic.Int64
-	evictions   atomic.Int64
 	quarantined atomic.Int64
 	writeErrors atomic.Int64
 	tmpCleaned  atomic.Int64
-}
-
-type indexEntry struct {
-	key  string
-	size int64 // file size including header
 }
 
 // Open scans dir (creating it if needed), removes leftover temp files
@@ -88,7 +77,12 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, maxBytes: maxBytes, ll: list.New(), index: map[string]*list.Element{}}
+	s := &Store{dir: dir, maxBytes: maxBytes}
+	s.index = lru.New(lru.Config[string, int64]{
+		MaxBytes: maxBytes,
+		Size:     func(_ string, size int64) int64 { return size },
+		OnEvict:  func(key string, _ int64) { os.Remove(s.path(key, entryExt)) },
+	})
 
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -121,13 +115,14 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 			found = append(found, scanned{key: key, size: info.Size(), mtime: info.ModTime().UnixNano()})
 		}
 	}
-	// Oldest first, so the list front ends up the most recently used.
+	// Oldest first, so the newest entries end up most recently used and
+	// the byte bound evicts the oldest.
 	sort.Slice(found, func(i, j int) bool { return found[i].mtime < found[j].mtime })
 	for _, f := range found {
-		s.index[f.key] = s.ll.PushFront(&indexEntry{key: f.key, size: f.size})
-		s.bytes += f.size
+		if !s.index.Put(f.key, f.size) {
+			os.Remove(s.path(f.key, entryExt)) // larger than the whole bound
+		}
 	}
-	s.evictLocked()
 	return s, nil
 }
 
@@ -149,29 +144,19 @@ func validKey(key string) bool {
 
 func (s *Store) path(key, ext string) string { return filepath.Join(s.dir, key+ext) }
 
-// Get returns the stored body for key. A damaged entry is quarantined
-// to <key>.bad and reported as a miss.
+// Get returns the stored body for key. A damaged or vanished entry is
+// dropped from the index and counted as a miss; a damaged one is also
+// quarantined to <key>.bad.
 func (s *Store) Get(key string) ([]byte, bool) {
-	if !validKey(key) {
-		s.misses.Add(1)
+	// Only valid keys enter the index, so a hostile key misses here,
+	// before any path is built from it.
+	if _, ok := s.index.Get(key); !ok {
 		return nil, false
 	}
-	s.mu.Lock()
-	el, ok := s.index[key]
-	if !ok {
-		s.mu.Unlock()
-		s.misses.Add(1)
-		return nil, false
-	}
-	s.ll.MoveToFront(el)
-	s.mu.Unlock()
-
 	raw, err := os.ReadFile(s.path(key, entryExt))
 	if err != nil {
-		// The file vanished under us (eviction race, external deletion):
-		// drop the index entry and miss.
-		s.dropIndexEntry(key)
-		s.misses.Add(1)
+		// The file vanished under us (eviction race, external deletion).
+		s.index.Invalidate(key)
 		return nil, false
 	}
 	body, derr := decode(raw)
@@ -179,11 +164,11 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		derr = errors.New("fault injected: entry corrupt")
 	}
 	if derr != nil {
-		s.quarantine(key)
-		s.misses.Add(1)
+		os.Rename(s.path(key, entryExt), s.path(key, badExt))
+		s.index.Invalidate(key)
+		s.quarantined.Add(1)
 		return nil, false
 	}
-	s.hits.Add(1)
 	return body, true
 }
 
@@ -207,23 +192,6 @@ func decode(raw []byte) ([]byte, error) {
 	return body, nil
 }
 
-// quarantine renames a damaged entry to <key>.bad and forgets it.
-func (s *Store) quarantine(key string) {
-	os.Rename(s.path(key, entryExt), s.path(key, badExt))
-	s.dropIndexEntry(key)
-	s.quarantined.Add(1)
-}
-
-func (s *Store) dropIndexEntry(key string) {
-	s.mu.Lock()
-	if el, ok := s.index[key]; ok {
-		s.bytes -= el.Value.(*indexEntry).size
-		s.ll.Remove(el)
-		delete(s.index, key)
-	}
-	s.mu.Unlock()
-}
-
 // Put stores body under key crash-safely. Re-putting an existing key
 // only refreshes its recency (the analysis is deterministic, so the
 // bytes are identical). Bodies larger than the store bound are skipped.
@@ -235,26 +203,15 @@ func (s *Store) Put(key string, body []byte) error {
 	if size > s.maxBytes {
 		return nil
 	}
-	s.mu.Lock()
-	if el, ok := s.index[key]; ok {
-		s.ll.MoveToFront(el)
-		s.mu.Unlock()
+	if s.index.Touch(key) {
 		return nil
 	}
-	s.mu.Unlock()
-
 	if err := s.writeEntry(key, body); err != nil {
 		s.writeErrors.Add(1)
 		return err
 	}
 	s.writes.Add(1)
-	s.mu.Lock()
-	if _, ok := s.index[key]; !ok {
-		s.index[key] = s.ll.PushFront(&indexEntry{key: key, size: size})
-		s.bytes += size
-	}
-	s.evictLocked()
-	s.mu.Unlock()
+	s.index.Put(key, size)
 	return nil
 }
 
@@ -315,29 +272,12 @@ func (s *Store) syncDir() error {
 	return d.Sync()
 }
 
-// evictLocked removes least-recently-used entries until the byte bound
-// holds. Callers hold mu.
-func (s *Store) evictLocked() {
-	for s.bytes > s.maxBytes {
-		tail := s.ll.Back()
-		if tail == nil {
-			return
-		}
-		ent := tail.Value.(*indexEntry)
-		s.ll.Remove(tail)
-		delete(s.index, ent.key)
-		s.bytes -= ent.size
-		os.Remove(s.path(ent.key, entryExt))
-		s.evictions.Add(1)
-	}
-}
-
 // Len reports the number of visible entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
-}
+func (s *Store) Len() int { return s.index.Len() }
+
+// LRUStats returns the index's counters: a hit is a verified body, and a
+// damaged or vanished entry counts as a miss.
+func (s *Store) LRUStats() lru.Stats { return s.index.Stats() }
 
 // Stats is a snapshot of the store's counters for /v1/stats and
 // /metrics.
@@ -357,19 +297,17 @@ type Stats struct {
 
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	entries, bytes := len(s.index), s.bytes
-	s.mu.Unlock()
+	st := s.index.Stats()
 	return Stats{
 		Dir:         s.dir,
-		Entries:     entries,
-		Bytes:       bytes,
+		Entries:     st.Entries,
+		Bytes:       st.Bytes,
 		MaxBytes:    s.maxBytes,
-		Hits:        s.hits.Load(),
-		Misses:      s.misses.Load(),
+		Hits:        st.Hits,
+		Misses:      st.Misses,
 		Writes:      s.writes.Load(),
 		WriteErrors: s.writeErrors.Load(),
-		Evictions:   s.evictions.Load(),
+		Evictions:   st.Evictions,
 		Quarantined: s.quarantined.Load(),
 		TmpCleaned:  s.tmpCleaned.Load(),
 	}

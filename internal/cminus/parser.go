@@ -43,6 +43,24 @@ func Parse(src string) (*Program, error) {
 	return p.parseProgram()
 }
 
+// ParseExpr parses src as one mini-C expression (such as a rendered
+// run-time check) that must span the whole input.
+func ParseExpr(src string) (Expr, error) {
+	toks, err := Tokenize(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &Parser{toks: toks}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if !p.at(TokEOF, "") {
+		return nil, p.errf("unexpected %q after expression", p.cur().Text)
+	}
+	return e, nil
+}
+
 // MustParse parses src and panics on error; intended for tests and
 // embedded corpus sources that are known to be valid.
 func MustParse(src string) *Program {

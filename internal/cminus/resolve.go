@@ -13,9 +13,9 @@ func IsFloatType(typ string) bool {
 }
 
 // NumberLoops enumerates every for-statement under blk in source order —
-// the same pre-order the parser uses to assign loop labels — so index i
-// in the returned slice is a dense, stable loop id within the function.
-// Plans and compiled code agree on these ids without probing label maps.
+// the same pre-order the parser uses to assign loop labels. Engines
+// that pre-resolve a function walk its loops in this fixed order (plans
+// themselves are looked up by label).
 func NumberLoops(blk *Block) []*ForStmt {
 	var out []*ForStmt
 	if blk == nil {

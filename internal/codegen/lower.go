@@ -3,7 +3,6 @@ package codegen
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/cminus"
@@ -43,9 +42,6 @@ type fnGen struct {
 	// the generated Go compiles (Go rejects written-but-never-read
 	// locals, C does not).
 	reads map[string]bool
-	// inCheck enables the counter_max fallback while lowering a runtime
-	// check expression.
-	inCheck bool
 }
 
 func (fg *fnGen) push() { fg.scopes = append(fg.scopes, map[string]symInfo{}) }
@@ -554,14 +550,13 @@ func hasContinue(b *cminus.Block) bool {
 // at n afterwards.
 func (fg *fnGen) lowerParallelFor(x *cminus.ForStmt, lp *parallelize.LoopPlan) error {
 	d := lp.Decision
-	ivar, _, okInit := initVarName(x.Init)
 	cond, okCond := x.Cond.(*cminus.BinaryExpr)
-	if !okInit || !okCond || cond.Op != "<" {
+	if !okCond || cond.Op != "<" {
 		return fmt.Errorf("parallel loop %s has non-canonical form at %s", x.Label, x.P)
 	}
-	ivSym, found := fg.lookup(ivar)
+	ivSym, found := fg.lookup(lp.Var)
 	if !found || ivSym.kind != symScalar {
-		return fmt.Errorf("parallel loop %s: unknown index %q at %s", x.Label, ivar, x.P)
+		return fmt.Errorf("parallel loop %s: unknown index %q at %s", x.Label, lp.Var, x.P)
 	}
 	nExpr, err := fg.lowerExpr(cond.Y)
 	if err != nil {
@@ -569,15 +564,15 @@ func (fg *fnGen) lowerParallelFor(x *cminus.ForStmt, lp *parallelize.LoopPlan) e
 	}
 	nExpr = conv(nExpr, tInt)
 
-	// Entry condition: the forced-failure hook, the decision's scalar
-	// runtime checks, then the array guards over the accessed section.
+	// Entry condition: the forced-failure hook, the plan's lowered
+	// run-time check, then the array guards over the accessed section.
 	conds := []string{fmt.Sprintf("!rtFailGuard(%q)", x.Label)}
-	for _, chk := range d.RuntimeChecks {
-		ce, err := fg.lowerCheck(chk.String())
+	if lp.Check != nil {
+		ce, err := fg.lowerExpr(lp.Check)
 		if err != nil {
 			return fmt.Errorf("loop %s: %w", x.Label, err)
 		}
-		conds = append(conds, ce)
+		conds = append(conds, conv(ce, tBool).at(precAnd))
 	}
 	guards, err := fg.lowerGuards(d)
 	if err != nil {
@@ -597,7 +592,7 @@ func (fg *fnGen) lowerParallelFor(x *cminus.ForStmt, lp *parallelize.LoopPlan) e
 	fg.line("%s = true", flag)
 	fg.line("if rtN > 0 {")
 	fg.depth++
-	if err := fg.lowerDispatch(x, d, ivSym); err != nil {
+	if err := fg.lowerDispatch(x, lp, ivSym); err != nil {
 		return err
 	}
 	fg.line("%s = rtN", ivSym.goName)
@@ -653,29 +648,9 @@ func (fg *fnGen) lowerGuards(d *depend.Decision) ([]string, error) {
 	return out, nil
 }
 
-// lowerCheck lowers a rendered symbolic condition by reusing the mini-C
-// expression parser, exactly like the interpreter's evalSymbolicCond.
-func (fg *fnGen) lowerCheck(cond string) (string, error) {
-	src := fmt.Sprintf("void __c(void) { int __r; __r = (%s); }", cond)
-	prog, err := cminus.Parse(src)
-	if err != nil {
-		return "", fmt.Errorf("bad runtime check %q: %v", cond, err)
-	}
-	as, ok := prog.Funcs[0].Body.Stmts[1].(*cminus.AssignStmt)
-	if !ok {
-		return "", fmt.Errorf("bad runtime check %q", cond)
-	}
-	fg.inCheck = true
-	v, err := fg.lowerExpr(as.RHS)
-	fg.inCheck = false
-	if err != nil {
-		return "", err
-	}
-	return conv(v, tBool).at(precAnd), nil
-}
-
 // lowerDispatch emits the goroutine fan-out inside a passed guard.
-func (fg *fnGen) lowerDispatch(x *cminus.ForStmt, d *depend.Decision, ivSym symInfo) error {
+func (fg *fnGen) lowerDispatch(x *cminus.ForStmt, lp *parallelize.LoopPlan, ivSym symInfo) error {
+	d := lp.Decision
 	fg.line("rtW := rtWorkers")
 	fg.line("if int64(rtW) > rtN {")
 	fg.line("\trtW = int(rtN)")
@@ -684,15 +659,15 @@ func (fg *fnGen) lowerDispatch(x *cminus.ForStmt, d *depend.Decision, ivSym symI
 
 	// Reduction partial slices, one element per worker, initialized to
 	// the operator identity (0 for +, 1 for *).
-	reds := sortedReductions(d)
+	reds := d.SortedReductions()
 	for _, r := range reds {
-		sym, found := fg.lookup(r.name)
+		sym, found := fg.lookup(r.Var)
 		if !found || sym.kind != symScalar {
-			return fmt.Errorf("reduction variable %q not in scope", r.name)
+			return fmt.Errorf("reduction variable %q not in scope", r.Var)
 		}
 		slice := "rtRed_" + sym.goName
 		fg.line("%s := make([]%s, rtW)", slice, sym.t)
-		if r.op == "*" {
+		if r.Op == "*" {
 			fg.line("for rtWi := range %s {", slice)
 			fg.line("\t%s[rtWi] = 1", slice)
 			fg.line("}")
@@ -718,7 +693,7 @@ func (fg *fnGen) lowerDispatch(x *cminus.ForStmt, d *depend.Decision, ivSym symI
 	// Worker-local state: privates and reduction accumulators shadow
 	// the captured outer variables; the loop index is a fresh local.
 	fg.push()
-	ivar := ivarNameOf(x)
+	ivar := lp.Var
 	var plain []string
 	var plainT typ
 	flushPlain := func() {
@@ -749,21 +724,21 @@ func (fg *fnGen) lowerDispatch(x *cminus.ForStmt, d *depend.Decision, ivSym symI
 		}
 	}
 	for _, r := range reds {
-		sym, _ := fg.lookup(r.name)
+		sym, _ := fg.lookup(r.Var)
 		init := "0"
-		if r.op == "*" {
+		if r.Op == "*" {
 			init = "1"
 		}
 		fg.line("var %s %s = %s", sym.goName, sym.t, init)
 	}
 	fg.line("for %s := rtStart; %s < rtEnd; %s++ {", ivSym.goName, ivSym.goName, ivSym.goName)
-	fg.define(ivarNameOf(x), symInfo{kind: symScalar, t: tInt, goName: ivSym.goName})
+	fg.define(ivar, symInfo{kind: symScalar, t: tInt, goName: ivSym.goName})
 	if err := fg.lowerBlock(x.Body); err != nil {
 		return err
 	}
 	fg.line("}")
 	for _, r := range reds {
-		sym, _ := fg.lookup(r.name)
+		sym, _ := fg.lookup(r.Var)
 		fg.line("rtRed_%s[rtWi] = %s", sym.goName, sym.goName)
 	}
 	fg.pop()
@@ -777,14 +752,14 @@ func (fg *fnGen) lowerDispatch(x *cminus.ForStmt, d *depend.Decision, ivSym symI
 	// skipping workers whose chunk was empty — adding an untouched
 	// identity cell could still flip -0.0 to +0.0.
 	for _, r := range reds {
-		sym, _ := fg.lookup(r.name)
+		sym, _ := fg.lookup(r.Var)
 		fg.line("for rtWi := 0; rtWi < rtW; rtWi++ {")
 		fg.depth++
 		fg.line("if int64(rtWi)*rtPer >= rtN {")
 		fg.line("\tcontinue")
 		fg.line("}")
 		part := atom(fmt.Sprintf("rtRed_%s[rtWi]", sym.goName), sym.t)
-		upd, err := arith(r.op, atom(sym.goName, sym.t), part)
+		upd, err := arith(r.Op, atom(sym.goName, sym.t), part)
 		if err != nil {
 			return err
 		}
@@ -794,37 +769,6 @@ func (fg *fnGen) lowerDispatch(x *cminus.ForStmt, d *depend.Decision, ivSym symI
 	}
 	fg.g.usesSync = true
 	return nil
-}
-
-type redSlot struct{ name, op string }
-
-func sortedReductions(d *depend.Decision) []redSlot {
-	var out []redSlot
-	for v, op := range d.Reductions {
-		out = append(out, redSlot{v, op})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
-func ivarNameOf(x *cminus.ForStmt) string {
-	name, _, _ := initVarName(x.Init)
-	return name
-}
-
-// initVarName mirrors the interpreter's canonical-init probe.
-func initVarName(s cminus.Stmt) (string, cminus.Expr, bool) {
-	switch x := s.(type) {
-	case *cminus.AssignStmt:
-		if id, ok := x.LHS.(*cminus.Ident); ok {
-			return id.Name, x.RHS, true
-		}
-	case *cminus.DeclStmt:
-		if len(x.Items) == 1 && x.Items[0].Init != nil {
-			return x.Items[0].Name, x.Items[0].Init, true
-		}
-	}
-	return "", nil, false
 }
 
 // scanReads collects every source name read at least once in the
@@ -838,9 +782,6 @@ func scanReads(fn *cminus.FuncDecl, fp *parallelize.FuncPlan) map[string]bool {
 		cminus.WalkExprs(e, func(x cminus.Expr) bool {
 			if id, ok := x.(*cminus.Ident); ok {
 				reads[id.Name] = true
-				if strings.HasSuffix(id.Name, "_max") {
-					reads[strings.TrimSuffix(id.Name, "_max")] = true
-				}
 			}
 			return true
 		})
@@ -890,13 +831,7 @@ func scanReads(fn *cminus.FuncDecl, fp *parallelize.FuncPlan) map[string]bool {
 			for _, gd := range lp.Decision.Guards {
 				reads[gd.Array] = true
 			}
-			for _, chk := range lp.Decision.RuntimeChecks {
-				if prog, err := cminus.Parse(fmt.Sprintf("void __c(void) { int __r; __r = (%s); }", chk.String())); err == nil {
-					if as, ok := prog.Funcs[0].Body.Stmts[1].(*cminus.AssignStmt); ok {
-						markExpr(as.RHS)
-					}
-				}
-			}
+			markExpr(lp.Check)
 		}
 	}
 	return reads

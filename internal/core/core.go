@@ -42,7 +42,9 @@ const (
 
 // Options configures an analysis.
 type Options struct {
-	// Level is the analysis capability (default New).
+	// Level is the analysis capability. The zero value is Classical (no
+	// subscript-array analysis, so subscripted-subscript loops stay
+	// serial); set New explicitly for this paper's algorithm.
 	Level Level
 	// AssumePositive lists symbols (sizes, block widths) the analysis may
 	// assume are >= 1.

@@ -8,10 +8,15 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/cminus"
+	"repro/internal/corpus"
 	"repro/internal/incr"
+	"repro/internal/interp"
+	"repro/internal/parallelize"
 )
 
 // incrBase is the edit script's starting point: a subscript-array
@@ -184,5 +189,80 @@ void other(int n, double *b) {
 	warm := analyzeBytes(t, edited, opt)
 	if !bytes.Equal(cold, warm) {
 		t.Error("callee-edit incremental output differs from cold run")
+	}
+}
+
+// TestIncrWarmPlansExecuteLikeCold: a plan replayed from the unit store
+// carries the same lowered execution contract (index name, run-time
+// check) as a cold plan, so the VM runs both identically: bit-identical
+// arrays and equal region counters on the two kernels whose chosen
+// loops carry run-time checks.
+func TestIncrWarmPlansExecuteLikeCold(t *testing.T) {
+	run := func(b *corpus.Benchmark, plan *parallelize.Plan) (map[string]*interp.Array, interp.Stats) {
+		t.Helper()
+		w := corpus.NewWork(b, corpus.ScaleQuick)
+		m, err := interp.New(plan.Program())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Plan, m.Workers, m.Interp = plan, 2, "vm"
+		if err := w.Run(m); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		return w.Arrays, m.Stats
+	}
+	store := incr.NewStore(0)
+	for _, name := range []string{"AMGmk", "SDDMM"} {
+		b := corpus.ByName(name)
+		opt := Options{Level: New, AssumePositive: b.AssumePositive}
+		cold, err := Analyze(b.Source, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Incremental = store
+		if _, err := Analyze(b.Source, opt); err != nil {
+			t.Fatal(err)
+		}
+		warm, err := Analyze(b.Source, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := warm.Plan.Incr; got.PlanHits == 0 || got.PlanMisses != 0 {
+			t.Fatalf("%s: warm run did not replay its plans: %+v", name, got)
+		}
+		checks := 0
+		for fn, fp := range cold.Plan.Funcs {
+			for lbl, lp := range fp.Loops {
+				wp := warm.Plan.Funcs[fn].Loops[lbl]
+				if lp.Var != wp.Var || cminus.PrintExpr(lp.Check) != cminus.PrintExpr(wp.Check) {
+					t.Errorf("%s %s/%s: warm contract (%q, %s) != cold (%q, %s)", name, fn, lbl,
+						wp.Var, cminus.PrintExpr(wp.Check), lp.Var, cminus.PrintExpr(lp.Check))
+				}
+				if lp.Check != nil {
+					checks++
+				}
+			}
+		}
+		if checks == 0 {
+			t.Fatalf("%s: no chosen loop carries a run-time check", name)
+		}
+		coldArrs, coldStats := run(b, cold.Plan)
+		warmArrs, warmStats := run(b, warm.Plan)
+		if coldStats != warmStats || coldStats.ParallelRegions == 0 {
+			t.Errorf("%s: warm stats %+v, cold %+v (want equal, with parallel regions)", name, warmStats, coldStats)
+		}
+		for arr, ca := range coldArrs {
+			wa := warmArrs[arr]
+			for i := range ca.Ints {
+				if ca.Ints[i] != wa.Ints[i] {
+					t.Fatalf("%s: %s.Ints[%d] = %d warm, %d cold", name, arr, i, wa.Ints[i], ca.Ints[i])
+				}
+			}
+			for i := range ca.Flts {
+				if math.Float64bits(ca.Flts[i]) != math.Float64bits(wa.Flts[i]) {
+					t.Fatalf("%s: %s.Flts[%d] = %v warm, %v cold", name, arr, i, wa.Flts[i], ca.Flts[i])
+				}
+			}
+		}
 	}
 }

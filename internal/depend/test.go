@@ -25,8 +25,9 @@ type Decision struct {
 	// Reductions maps reduction scalars to their operators.
 	Reductions map[string]string
 	// RuntimeChecks are conditions that must hold at run time for the
-	// parallel execution to be valid (evaluated by the generated code; the
-	// loop falls back to serial execution when one fails).
+	// parallel execution to be valid (the planner lowers their
+	// conjunction into parallelize.LoopPlan.Check, which every engine
+	// evaluates; the loop falls back to serial execution when it fails).
 	RuntimeChecks []symbolic.Expr
 	// Guards are array-shaped runtime obligations: the subscript-array
 	// properties the decision relied on, restated as entry checks a
@@ -51,6 +52,21 @@ func (d *Decision) CheckString() string {
 		parts[i] = c.String()
 	}
 	return strings.Join(parts, " && ")
+}
+
+// Reduction is one reduction clause: a scalar and its operator.
+type Reduction struct{ Var, Op string }
+
+// SortedReductions returns the decision's reduction clauses in sorted
+// variable order. Per-variable combines are independent, so every engine
+// that folds partials in this fixed order matches the others exactly.
+func (d *Decision) SortedReductions() []Reduction {
+	out := make([]Reduction, 0, len(d.Reductions))
+	for v, op := range d.Reductions {
+		out = append(out, Reduction{v, op})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Var < out[j].Var })
+	return out
 }
 
 // Tester runs dependence tests for loops of one function.

@@ -105,17 +105,17 @@ func (s *Store) PutAnalysis(key, fn string, fa *phase2.FuncAnalysis) {
 }
 
 // GetPlans returns the cached Pass-2 loop plans for a plan key.
-func (s *Store) GetPlans(key, fn string) ([]parallelize.LoopPlan, bool) {
+func (s *Store) GetPlans(key, fn string) ([]*parallelize.LoopPlan, bool) {
 	v, ok := s.units.Get(key)
 	s.count(fn, true, ok)
 	if !ok {
 		return nil, false
 	}
-	return v.([]parallelize.LoopPlan), true
+	return v.([]*parallelize.LoopPlan), true
 }
 
 // PutPlans stores a function's Pass-2 loop plans under their plan key.
-func (s *Store) PutPlans(key, fn string, plans []parallelize.LoopPlan) {
+func (s *Store) PutPlans(key, fn string, plans []*parallelize.LoopPlan) {
 	s.units.Put(key, plans)
 }
 

@@ -1985,21 +1985,6 @@ func (bc *bcCompiler) serialFor(loop *cminus.ForStmt) {
 	bc.bind(lend)
 }
 
-// emitCheck compiles one rendered runtime-check condition by reusing the
-// mini-C expression parser, branching to the fallback label when false.
-func (bc *bcCompiler) emitCheck(cond string, lfall int32) {
-	src := fmt.Sprintf("void __c(void) { int __r; __r = (%s); }", cond)
-	prog, err := cminus.Parse(src)
-	if err != nil {
-		bc.errOp("interp: bad runtime check %q: %v", cond, err)
-		return
-	}
-	as := prog.Funcs[0].Body.Stmts[1].(*cminus.AssignStmt)
-	ti, tf := bc.save()
-	bc.emitBranch(as.RHS, lfall, false)
-	bc.restore(ti, tf)
-}
-
 func (bc *bcCompiler) emitFor(loop *cminus.ForStmt) {
 	lp := bc.fc.planFor(loop)
 	if lp == nil || !lp.Chosen {
@@ -2008,25 +1993,25 @@ func (bc *bcCompiler) emitFor(loop *cminus.ForStmt) {
 	}
 	lserial, lfall, lend := bc.newLabel(), bc.newLabel(), bc.newLabel()
 	bc.jump(Instr{Op: opJNoPar}, lserial)
-	for _, chk := range lp.Decision.RuntimeChecks {
-		bc.emitCheck(chk.String(), lfall)
+	if lp.Check != nil {
+		ti, tf := bc.save()
+		bc.emitBranch(lp.Check, lfall, false)
+		bc.restore(ti, tf)
 	}
 	bc.emit(Instr{Op: opParEnter})
 	pl := vparloop{label: loop.Label}
-	okInit := false
-	if ivar, _, ok := initVarName(loop.Init); ok {
-		switch s := bc.fc.resolveScalar(ivar); s.kind {
-		case syLocalInt:
-			okInit, pl.ivarSlot = true, int32(s.idx)
-		case syCell:
-			okInit, pl.ivarCell, pl.ivarSlot = true, true, int32(s.idx)
-		}
+	okIvar := false
+	switch s := bc.fc.resolveScalar(lp.Var); s.kind {
+	case syLocalInt:
+		okIvar, pl.ivarSlot = true, int32(s.idx)
+	case syCell:
+		okIvar, pl.ivarCell, pl.ivarSlot = true, true, int32(s.idx)
 	}
 	cond, okCond := loop.Cond.(*cminus.BinaryExpr)
 	okCond = okCond && cond.Op == "<"
 	switch {
-	case !okInit:
-		bc.errOp("interp: parallel loop %s has non-canonical init", loop.Label)
+	case !okIvar:
+		bc.errOp("interp: parallel loop %s has no int index %q", loop.Label, lp.Var)
 	case !okCond:
 		bc.errOp("interp: parallel loop %s has non-canonical condition", loop.Label)
 	default:
@@ -2041,14 +2026,14 @@ func (bc *bcCompiler) emitFor(loop *cminus.ForStmt) {
 				pl.privs = append(pl.privs, privSlot{kind: pkCell, slot: s.idx, float: s.float})
 			}
 		}
-		for _, rv := range sortedReductions(d.Reductions) {
-			switch s := bc.fc.resolveScalar(rv[0]); s.kind {
+		for _, r := range d.SortedReductions() {
+			switch s := bc.fc.resolveScalar(r.Var); s.kind {
 			case syLocalInt:
-				pl.reds = append(pl.reds, redSlot{kind: pkLocalInt, slot: s.idx, op: rv[1]})
+				pl.reds = append(pl.reds, redSlot{kind: pkLocalInt, slot: s.idx, op: r.Op})
 			case syLocalFlt:
-				pl.reds = append(pl.reds, redSlot{kind: pkLocalFlt, slot: s.idx, float: true, op: rv[1]})
+				pl.reds = append(pl.reds, redSlot{kind: pkLocalFlt, slot: s.idx, float: true, op: r.Op})
 			case syCell:
-				pl.reds = append(pl.reds, redSlot{kind: pkCell, slot: s.idx, float: s.float, op: rv[1]})
+				pl.reds = append(pl.reds, redSlot{kind: pkCell, slot: s.idx, float: s.float, op: r.Op})
 			}
 		}
 		nreg := bc.allocI()

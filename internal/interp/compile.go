@@ -20,8 +20,6 @@ package interp
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"repro/internal/cminus"
 	"repro/internal/parallelize"
@@ -92,7 +90,6 @@ type fnCompiler struct {
 	scalars map[string]*scalarSym
 	arrays  map[string]*arraySym
 	fp      *parallelize.FuncPlan
-	loops   []*cminus.ForStmt // dense source-order loop ids
 }
 
 // ---- resolution pass ----
@@ -123,8 +120,6 @@ func (fc *fnCompiler) newArraySlot(name string, float bool) *arraySym {
 // assigned scalars, referenced arrays, and — for globals privatized or
 // reduced by some chosen parallel loop — cell slots.
 func (fc *fnCompiler) resolve() {
-	fc.loops = cminus.NumberLoops(fc.fn.Body)
-
 	// Parameters.
 	for _, prm := range fc.fn.Params {
 		isFloat := cminus.IsFloatType(prm.Type)
@@ -237,7 +232,7 @@ func (fc *fnCompiler) resolve() {
 		fc.bf.nCells++
 		fc.bf.entryCells = append(fc.bf.entryCells, entryCell{slot: s.idx, g: s.g})
 	}
-	for _, loop := range fc.loops {
+	for _, loop := range cminus.NumberLoops(fc.fn.Body) {
 		lp := fc.planFor(loop)
 		if lp == nil || !lp.Chosen {
 			continue
@@ -249,31 +244,20 @@ func (fc *fnCompiler) resolve() {
 		for v := range d.Reductions {
 			promote(v)
 		}
-		if ivar, _, ok := initVarName(loop.Init); ok {
-			promote(ivar)
-		}
+		promote(lp.Var)
 	}
 }
 
-// planFor finds the plan for a loop by its dense id, falling back to the
-// label map when the ids disagree (e.g. a hand-built plan).
+// planFor returns the plan for a loop, looked up by label.
 func (fc *fnCompiler) planFor(loop *cminus.ForStmt) *parallelize.LoopPlan {
 	if fc.fp == nil {
 		return nil
 	}
-	for i, l := range fc.loops {
-		if l == loop {
-			if lp := fc.fp.LoopAt(i); lp != nil && lp.Label == loop.Label {
-				return lp
-			}
-			break
-		}
-	}
 	return fc.fp.Loops[loop.Label]
 }
 
-// resolveScalar memoizes name resolution: local slot, global cell, the
-// runtime-check "_max" alias, or unbound.
+// resolveScalar memoizes name resolution: local slot, global cell, or
+// unbound.
 func (fc *fnCompiler) resolveScalar(name string) *scalarSym {
 	if s, ok := fc.scalars[name]; ok {
 		return s
@@ -282,14 +266,6 @@ func (fc *fnCompiler) resolveScalar(name string) *scalarSym {
 		s := &scalarSym{kind: syGlobal, g: g, float: g.Float, name: name}
 		fc.scalars[name] = s
 		return s
-	}
-	// Counter_max symbols used by runtime checks resolve to the current
-	// value of the underlying counter.
-	if base, ok := strings.CutSuffix(name, "_max"); ok && base != "" {
-		if s := fc.peekScalar(base); s != nil {
-			fc.scalars[name] = s
-			return s
-		}
 	}
 	s := &scalarSym{kind: syUnbound, name: name}
 	fc.scalars[name] = s
@@ -330,11 +306,6 @@ func (fc *fnCompiler) typeOf(e cminus.Expr) ctyp {
 	case *cminus.Ident:
 		if s := fc.peekScalar(x.Name); s != nil {
 			return s.typ()
-		}
-		if base, ok := strings.CutSuffix(x.Name, "_max"); ok && base != "" {
-			if s := fc.peekScalar(base); s != nil {
-				return s.typ()
-			}
 		}
 		return tInt
 	case *cminus.BinaryExpr:
@@ -463,20 +434,4 @@ func floatCombine(op string) func(a, b float64) float64 {
 		throwf("interp: unsupported operator %q", op)
 		return 0
 	}
-}
-
-// sortedReductions returns a chosen loop's reduction clauses in sorted
-// name order (per-variable combines are independent, so any fixed order
-// matches the tree walker's result exactly).
-func sortedReductions(d map[string]string) [][2]string {
-	names := make([]string, 0, len(d))
-	for v := range d {
-		names = append(names, v)
-	}
-	sort.Strings(names)
-	out := make([][2]string, len(names))
-	for i, v := range names {
-		out[i] = [2]string{v, d[v]}
-	}
-	return out
 }

@@ -488,17 +488,6 @@ func (m *Machine) eval(x cminus.Expr, e *env) (Value, error) {
 		if cell, ok := m.Globals[t.Name]; ok {
 			return *cell, nil
 		}
-		// Counter_max symbols used by runtime checks resolve to the
-		// current value of the underlying counter.
-		if strings.HasSuffix(t.Name, "_max") {
-			base := strings.TrimSuffix(t.Name, "_max")
-			if cell := e.lookup(base); cell != nil {
-				return *cell, nil
-			}
-			if cell, ok := m.Globals[base]; ok {
-				return *cell, nil
-			}
-		}
 		return Value{}, fmt.Errorf("interp: unbound variable %q at %s", t.Name, t.P)
 	case *cminus.BinaryExpr:
 		l, err := m.eval(t.X, e)
@@ -812,9 +801,13 @@ func (m *Machine) execFor(loop *cminus.ForStmt, e *env, fp *parallelize.FuncPlan
 		lp = fp.Loops[loop.Label]
 	}
 	if lp != nil && lp.Chosen && m.Workers > 1 {
-		ok, err := m.checksPass(lp, e)
-		if err != nil {
-			return err
+		ok := true
+		if lp.Check != nil {
+			v, err := m.eval(lp.Check, e)
+			if err != nil {
+				return err
+			}
+			ok = v.Truthy()
 		}
 		if ok {
 			return m.execParallelFor(loop, e, fp, lp)
@@ -856,47 +849,12 @@ func (m *Machine) execFor(loop *cminus.ForStmt, e *env, fp *parallelize.FuncPlan
 	}
 }
 
-// checksPass evaluates the decision's runtime checks in the current
-// environment (counter_max symbols resolve to the counters' current
-// values).
-func (m *Machine) checksPass(lp *parallelize.LoopPlan, e *env) (bool, error) {
-	for _, chk := range lp.Decision.RuntimeChecks {
-		v, err := m.evalSymbolicCond(chk.String(), e)
-		if err != nil {
-			return false, err
-		}
-		if !v {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// evalSymbolicCond parses and evaluates a rendered symbolic condition in
-// the current environment by reusing the mini-C expression parser.
-func (m *Machine) evalSymbolicCond(cond string, e *env) (bool, error) {
-	src := fmt.Sprintf("void __c(void) { int __r; __r = (%s); }", cond)
-	prog, err := cminus.Parse(src)
-	if err != nil {
-		return false, fmt.Errorf("interp: bad runtime check %q: %v", cond, err)
-	}
-	as := prog.Funcs[0].Body.Stmts[1].(*cminus.AssignStmt)
-	v, err := m.eval(as.RHS, e)
-	if err != nil {
-		return false, err
-	}
-	return v.Truthy(), nil
-}
-
 // execParallelFor runs the loop's iterations on a worker pool following
 // the OpenMP semantics of the emitted pragma.
 func (m *Machine) execParallelFor(loop *cminus.ForStmt, e *env, fp *parallelize.FuncPlan, lp *parallelize.LoopPlan) error {
 	m.Stats.ParallelRegions++
 	// The loop is normalized: i = 0; i < N; i = i+1.
-	ivar, _, ok := initVarName(loop.Init)
-	if !ok {
-		return fmt.Errorf("interp: parallel loop %s has non-canonical init", loop.Label)
-	}
+	ivar := lp.Var
 	n, err := m.iterCount(loop, e)
 	if err != nil {
 		return err
@@ -1057,18 +1015,4 @@ func (m *Machine) iterCount(loop *cminus.ForStmt, e *env) (int64, error) {
 		return 0, err
 	}
 	return v.AsInt(), nil
-}
-
-func initVarName(s cminus.Stmt) (string, cminus.Expr, bool) {
-	switch x := s.(type) {
-	case *cminus.AssignStmt:
-		if id, ok := x.LHS.(*cminus.Ident); ok {
-			return id.Name, x.RHS, true
-		}
-	case *cminus.DeclStmt:
-		if len(x.Items) == 1 && x.Items[0].Init != nil {
-			return x.Items[0].Name, x.Items[0].Init, true
-		}
-	}
-	return "", nil, false
 }

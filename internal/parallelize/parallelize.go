@@ -21,7 +21,11 @@ import (
 	"repro/internal/trace"
 )
 
-// LoopPlan is the parallelization decision for one loop.
+// LoopPlan is the parallelization decision for one loop. For a chosen
+// loop it also carries the loop's execution contract, lowered once here
+// so the execution engines (tree, VM, native code) read it instead of
+// each re-deriving it. Plans are immutable once Run returns: the unit
+// cache shares them across runs.
 type LoopPlan struct {
 	Label    string
 	Decision *depend.Decision
@@ -30,11 +34,15 @@ type LoopPlan struct {
 	Chosen bool
 	// Depth is the loop's nesting depth within its function (1 = outermost).
 	Depth int
-	// Index is the dense source-order loop id within the annotated
-	// function (see cminus.NumberLoops), or -1 when the loop does not
-	// appear in the annotated body. Execution engines that pre-resolve
-	// loops look plans up by this id instead of probing the label map.
-	Index int
+	// Var is a chosen loop's canonical index name (normalize.LoopMeta.Var;
+	// only canonical loops can be chosen). Empty when not chosen.
+	Var string
+	// Check is a chosen loop's run-time check: the conjunction of
+	// Decision.RuntimeChecks, parsed once and bound against the
+	// function's own scope (see lowerCheck). It is the literal 0 when a
+	// name in it is unbound, so engines fall back to serial execution.
+	// Nil when the loop is not chosen or needs no check.
+	Check cminus.Expr
 }
 
 // FuncPlan is the plan for one function.
@@ -46,39 +54,6 @@ type FuncPlan struct {
 	Loops map[string]*LoopPlan
 	// Annotated is the normalized function with pragmas on chosen loops.
 	Annotated *cminus.FuncDecl
-	// ByIndex holds the loop plans of the annotated body in source order:
-	// ByIndex[i] is the plan for the i-th for-statement (nil when no
-	// decision exists for that loop).
-	ByIndex []*LoopPlan
-}
-
-// LoopAt returns the plan for the annotated function's i-th source-order
-// loop, or nil.
-func (fp *FuncPlan) LoopAt(i int) *LoopPlan {
-	if fp == nil || i < 0 || i >= len(fp.ByIndex) {
-		return nil
-	}
-	return fp.ByIndex[i]
-}
-
-// indexLoops assigns dense ids: it numbers the annotated body's loops in
-// source order and records the mapping both ways (LoopPlan.Index and
-// FuncPlan.ByIndex).
-func (fp *FuncPlan) indexLoops() {
-	for _, lp := range fp.Loops {
-		lp.Index = -1
-	}
-	if fp.Annotated == nil {
-		return
-	}
-	loops := cminus.NumberLoops(fp.Annotated.Body)
-	fp.ByIndex = make([]*LoopPlan, len(loops))
-	for i, loop := range loops {
-		if lp := fp.Loops[loop.Label]; lp != nil {
-			lp.Index = i
-			fp.ByIndex[i] = lp
-		}
-	}
 }
 
 // Diagnostic records a contained per-function or per-nest analysis crash:
@@ -363,7 +338,7 @@ func Run(prog *cminus.Program, level phase2.Level, opts *Options) *Plan {
 				jobTester = depend.NewTester(tester.Props, jobDict)
 			}
 			m := map[string]*LoopPlan{}
-			planNest(jobTester, jobs[i].fa, m, jobs[i].loop, 1)
+			planNest(jobTester, jobs[i].fa, prog.Globals, m, jobs[i].loop, 1)
 			planned[i] = m
 		})
 	})
@@ -408,7 +383,6 @@ func Run(prog *cminus.Program, level phase2.Level, opts *Options) *Plan {
 		} else {
 			fp.Annotated = annotate(fp.Analysis.Func, fp)
 		}
-		fp.indexLoops()
 		tr.End(sp)
 	}
 	sortDiagnostics(plan.Diagnostics)
@@ -431,18 +405,77 @@ func sortDiagnostics(ds []Diagnostic) {
 
 // planNest decides one loop; when it is not parallelizable, descends into
 // the nested loops (the classical behaviour the paper observes: inner
-// loops get parallelized, paying fork-join per outer iteration).
-func planNest(tester *depend.Tester, fa *phase2.FuncAnalysis, loops map[string]*LoopPlan, loop *cminus.ForStmt, depth int) {
-	d := tester.Analyze(loop, fa.Norm.Loops[loop.Label])
+// loops get parallelized, paying fork-join per outer iteration). A
+// chosen loop gets its execution contract lowered here.
+func planNest(tester *depend.Tester, fa *phase2.FuncAnalysis, globals []*cminus.DeclStmt, loops map[string]*LoopPlan, loop *cminus.ForStmt, depth int) {
+	meta := fa.Norm.Loops[loop.Label]
+	d := tester.Analyze(loop, meta)
 	lp := &LoopPlan{Label: loop.Label, Decision: d, Depth: depth}
 	loops[loop.Label] = lp
 	if d.Parallel {
 		lp.Chosen = true
+		lp.Var = meta.Var
+		lp.Check = lowerCheck(d, fa.Func, globals)
 		return
 	}
 	for _, inner := range topLoops(loop.Body) {
-		planNest(tester, fa, loops, inner, depth+1)
+		planNest(tester, fa, globals, loops, inner, depth+1)
 	}
+}
+
+// lowerCheck parses a decision's run-time checks once, as the
+// conjunction the pragma's if-clause prints, and binds every name in it
+// against fn's own scope: parameters, declared and implicitly assigned
+// locals, and globals — the names the engines' slot resolution binds.
+// It fails closed: when a name is unbound (a Counter_max symbol such as
+// "irownnz_max" that the program never declares) or the rendering does
+// not parse, the check is the literal 0 and every engine takes its
+// serial fallback. Binding Counter_max to the live counter would be
+// unsound: the counter ends one past the last filled index, and nothing
+// proves it unchanged between the fill and the use.
+func lowerCheck(d *depend.Decision, fn *cminus.FuncDecl, globals []*cminus.DeclStmt) cminus.Expr {
+	src := d.CheckString()
+	if src == "" {
+		return nil
+	}
+	failClosed := &cminus.IntLit{Val: 0}
+	chk, err := cminus.ParseExpr(src)
+	if err != nil {
+		return failClosed
+	}
+	scope := map[string]bool{}
+	for _, prm := range fn.Params {
+		scope[prm.Name] = true
+	}
+	for _, g := range globals {
+		for _, it := range g.Items {
+			scope[it.Name] = true
+		}
+	}
+	cminus.WalkStmts(fn.Body, func(s cminus.Stmt) bool {
+		switch x := s.(type) {
+		case *cminus.DeclStmt:
+			for _, it := range x.Items {
+				scope[it.Name] = true
+			}
+		case *cminus.AssignStmt:
+			if id, ok := x.LHS.(*cminus.Ident); ok {
+				scope[id.Name] = true
+			}
+		}
+		return true
+	})
+	bound := true
+	cminus.WalkExprs(chk, func(x cminus.Expr) bool {
+		if id, ok := x.(*cminus.Ident); ok && !scope[id.Name] {
+			bound = false
+		}
+		return bound
+	})
+	if !bound {
+		return failClosed
+	}
+	return chk
 }
 
 // topLoops returns the loops immediately inside a block.

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/cminus"
+	"repro/internal/depend"
 	"repro/internal/phase2"
+	"repro/internal/symbolic"
 )
 
 const amgProgram = `
@@ -138,5 +140,41 @@ void f(int n, double *a, double *b) {
 	pragma := PragmaFor(lp.Decision)
 	if !strings.Contains(pragma, "private(s)") {
 		t.Errorf("pragma = %s", pragma)
+	}
+}
+
+// TestLowerCheckBindsFunctionScope: a run-time check is bound against
+// the function's own scope — parameters, declared locals, implicitly
+// assigned locals and globals — and fails closed to the literal 0 when
+// any name in it (here the Counter_max symbol k_max) is unbound.
+func TestLowerCheckBindsFunctionScope(t *testing.T) {
+	d := &depend.Decision{RuntimeChecks: []symbolic.Expr{
+		symbolic.Cmp{Op: symbolic.OpLE, L: symbolic.NewSym("n"), R: symbolic.NewSym("k_max")},
+		symbolic.Cmp{Op: symbolic.OpLT, L: symbolic.Zero, R: symbolic.NewSym("n")},
+	}}
+	for _, tc := range []struct {
+		name, src string
+		bound     bool
+	}{
+		{"param", "void f(int n, int k_max) { }", true},
+		{"declared", "void f(int n) { if (n > 0) { int k_max; k_max = n; } }", true},
+		{"implicit", "void f(int n) { k_max = n; }", true},
+		{"global", "int k_max; void f(int n) { }", true},
+		{"counter only", "void f(int n) { int k; k = n; }", false},
+		{"other function", "void g(int k_max) { } void f(int n) { }", false},
+	} {
+		prog := cminus.MustParse(tc.src)
+		chk := lowerCheck(d, prog.Func("f"), prog.Globals)
+		got := cminus.PrintExpr(chk)
+		want := "0"
+		if tc.bound {
+			want = "n <= k_max && 0 < n"
+		}
+		if got != want {
+			t.Errorf("%s: check = %q, want %q", tc.name, got, want)
+		}
+	}
+	if chk := lowerCheck(&depend.Decision{}, cminus.MustParse("void f(void) { }").Func("f"), nil); chk != nil {
+		t.Errorf("no run-time checks: check = %q, want nil", cminus.PrintExpr(chk))
 	}
 }

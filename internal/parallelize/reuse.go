@@ -17,14 +17,14 @@ import (
 // key; the plan tier holds Pass-2 loop plans keyed by the unit key plus
 // a digest of the merged property database (Pass 2 reads facts other
 // functions contribute, so its key must cover them). Values returned
-// from Get are shared across runs and must be treated as immutable;
-// plans are stored as values and re-pointered per run because
-// FuncPlan.indexLoops mutates LoopPlan.Index.
+// from Get are shared across runs and immutable: a cached loop plan
+// already carries its lowered execution contract (LoopPlan.Var, .Check),
+// so warm runs hand engines the same plans as cold ones.
 type FuncCache interface {
 	GetAnalysis(key, fn string) (*phase2.FuncAnalysis, bool)
 	PutAnalysis(key, fn string, fa *phase2.FuncAnalysis)
-	GetPlans(key, fn string) ([]LoopPlan, bool)
-	PutPlans(key, fn string, plans []LoopPlan)
+	GetPlans(key, fn string) ([]*LoopPlan, bool)
+	PutPlans(key, fn string, plans []*LoopPlan)
 }
 
 // Reuse configures incremental per-function reuse for one Run.
@@ -90,24 +90,20 @@ func PlanKey(unitKey, propsDigest string) string {
 	return unitKey + "\x00plans\x00" + propsDigest
 }
 
-// flattenPlans snapshots a function's loop plans as cacheable values,
-// sorted by label, with the per-run Index field normalized away.
-func flattenPlans(loops map[string]*LoopPlan) []LoopPlan {
-	out := make([]LoopPlan, 0, len(loops))
+// flattenPlans lists a function's loop plans for the cache, sorted by
+// label.
+func flattenPlans(loops map[string]*LoopPlan) []*LoopPlan {
+	out := make([]*LoopPlan, 0, len(loops))
 	for _, lp := range loops {
-		cp := *lp
-		cp.Index = -1
-		out = append(out, cp)
+		out = append(out, lp)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
 	return out
 }
 
-// installPlans replays cached plan values into a fresh per-run map with
-// fresh pointers (indexLoops mutates them).
-func installPlans(fp *FuncPlan, plans []LoopPlan) {
+// installPlans replays cached plans into a fresh per-run label map.
+func installPlans(fp *FuncPlan, plans []*LoopPlan) {
 	for _, lp := range plans {
-		cp := lp
-		fp.Loops[cp.Label] = &cp
+		fp.Loops[lp.Label] = lp
 	}
 }

@@ -16,6 +16,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -44,11 +45,29 @@ type fleetNode struct {
 	cl   *cluster.Cluster
 	st   *store.Store
 	hs   *http.Server
+	// client is the test's own HTTP client, shared by the fleet's nodes:
+	// kill drops its idle connections, so the first request after a
+	// revive dials the new server instead of reusing a dead keep-alive
+	// connection (http.DefaultClient would, and fail with EOF).
+	client *http.Client
+	// base is the context every handler's request context derives from;
+	// the fleet cleanup cancels it, so a handler stalled by a failpoint
+	// returns at once instead of outliving the test.
+	base context.Context
+}
+
+// serve starts the node's HTTP server on ln.
+func (n *fleetNode) serve(ln net.Listener) {
+	n.hs = &http.Server{Handler: n.srv, BaseContext: func(net.Listener) context.Context { return n.base }}
+	go n.hs.Serve(ln)
 }
 
 // kill closes the node's HTTP server: connections drop, new connects
 // are refused — a crashed process as seen from its peers.
-func (n *fleetNode) kill() { n.hs.Close() }
+func (n *fleetNode) kill() {
+	n.hs.Close()
+	n.client.CloseIdleConnections()
+}
 
 // revive rebinds the node's address and serves again with the same
 // Server state (caches intact), like a fast process restart. The bind
@@ -59,8 +78,7 @@ func (n *fleetNode) revive(t *testing.T) {
 	for {
 		ln, err := net.Listen("tcp", n.addr)
 		if err == nil {
-			n.hs = &http.Server{Handler: n.srv}
-			go n.hs.Serve(ln)
+			n.serve(ln)
 			return
 		}
 		if time.Now().After(deadline) {
@@ -79,6 +97,35 @@ func newFleet(t *testing.T, n int) []*fleetNode {
 	names := []string{"a", "b", "c", "d", "e"}[:n]
 	nodes := make([]*fleetNode, n)
 	listeners := make([]net.Listener, n)
+	// One transport carries the test's requests and the nodes' peer
+	// traffic, so the cleanup can drop every idle connection: an unused
+	// one counts as new, not idle, and would hold Shutdown for 5 s.
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
+	base, cancelBase := context.WithCancel(context.Background())
+	// Disarm any failpoint and release stalled handlers (a stalled peer
+	// fill otherwise holds its handler for 5 s), stop the clusters, then
+	// wait for in-flight handlers to finish before the test ends: a
+	// handler outliving the test would log through a completed t.
+	t.Cleanup(func() {
+		faults.Reset()
+		cancelBase()
+		for _, node := range nodes {
+			if node != nil && node.cl != nil {
+				node.cl.Stop()
+			}
+		}
+		tr.CloseIdleConnections()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		for _, node := range nodes {
+			if node != nil && node.hs != nil {
+				if err := node.hs.Shutdown(ctx); err != nil {
+					t.Errorf("shutdown %s: %v", node.name, err)
+				}
+			}
+		}
+	})
 	for i := range nodes {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -86,9 +133,11 @@ func newFleet(t *testing.T, n int) []*fleetNode {
 		}
 		listeners[i] = ln
 		nodes[i] = &fleetNode{
-			name: names[i],
-			addr: ln.Addr().String(),
-			url:  "http://" + ln.Addr().String(),
+			name:   names[i],
+			addr:   ln.Addr().String(),
+			url:    "http://" + ln.Addr().String(),
+			client: client,
+			base:   base,
 		}
 	}
 	for i, node := range nodes {
@@ -109,7 +158,8 @@ func newFleet(t *testing.T, n int) []*fleetNode {
 				BaseBackoff: 50 * time.Millisecond,
 				MaxBackoff:  250 * time.Millisecond,
 			},
-			Logf: t.Logf,
+			Transport: tr,
+			Logf:      t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -130,13 +180,8 @@ func newFleet(t *testing.T, n int) []*fleetNode {
 			CacheEntries: 2,
 			Logf:         t.Logf,
 		})
-		node.hs = &http.Server{Handler: node.srv}
-		go node.hs.Serve(listeners[i])
+		node.serve(listeners[i])
 		cl.Start()
-		t.Cleanup(func() {
-			cl.Stop()
-			node.hs.Close()
-		})
 	}
 	return nodes
 }
@@ -215,13 +260,13 @@ func metricValue(t *testing.T, metrics, series string) float64 {
 // postChaos posts req to the front door and requires a 200 whose body
 // matches the standalone reference server's answer for the same
 // request — the two fleet invariants every phase re-asserts.
-func postChaos(t *testing.T, front, ref string, req AnalyzeRequest) {
+func postChaos(t *testing.T, c *http.Client, front, ref string, req AnalyzeRequest) {
 	t.Helper()
-	wantResp, want := postAnalyze(t, ref, req)
+	wantResp, want := postAnalyzeVia(t, c, ref, req)
 	if wantResp.StatusCode != http.StatusOK {
 		t.Fatalf("reference status = %s: %s", wantResp.Status, want)
 	}
-	resp, got := postAnalyze(t, front, req)
+	resp, got := postAnalyzeVia(t, c, front, req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("front door status = %s (want 200, the fleet must never surface internal errors): %s",
 			resp.Status, got)
@@ -250,7 +295,7 @@ func TestChaosFleetSurvivesPeerFailures(t *testing.T) {
 	// correctly through the front door.
 	for _, owner := range []string{"a", "b", "c"} {
 		req, _ := keyOwnedBy(t, a.cl, owner, &seq)
-		postChaos(t, front, ref.URL, req)
+		postChaos(t, a.client, front, ref.URL, req)
 	}
 	if got := a.srv.met.peerFills.Load(); got != 2 {
 		t.Fatalf("healthy phase: peer fills = %d, want 2 (keys owned by b and c)", got)
@@ -270,7 +315,7 @@ func TestChaosFleetSurvivesPeerFailures(t *testing.T) {
 		}
 		fallbacksBefore := a.srv.met.fallbacks.Load()
 		req, _ := keyOwnedBy(t, a.cl, "b", &seq)
-		postChaos(t, front, ref.URL, req)
+		postChaos(t, a.client, front, ref.URL, req)
 		if got := a.srv.met.fallbacks.Load(); got <= fallbacksBefore {
 			t.Fatalf("mode %s: no fallback recorded (fallbacks %d -> %d)", mode, fallbacksBefore, got)
 		}
@@ -281,7 +326,7 @@ func TestChaosFleetSurvivesPeerFailures(t *testing.T) {
 		waitUntil(t, "breaker for b to permit traffic again", func() bool {
 			req, _ := keyOwnedBy(t, a.cl, "b", &seq)
 			fills := peerStat(a.cl, "b").Fills
-			postChaos(t, front, ref.URL, req)
+			postChaos(t, a.client, front, ref.URL, req)
 			return peerStat(a.cl, "b").Fills > fills
 		})
 	}
@@ -295,7 +340,7 @@ func TestChaosFleetSurvivesPeerFailures(t *testing.T) {
 	waitUntil(t, "prober to mark c down", func() bool { return !peerStat(a.cl, "c").Up })
 	for i := 0; i < 3; i++ {
 		req, _ := keyOwnedBy(t, a.cl, "c", &seq)
-		postChaos(t, front, ref.URL, req)
+		postChaos(t, a.client, front, ref.URL, req)
 	}
 	if ff := peerStat(a.cl, "c").FastFails; ff == 0 {
 		t.Fatal("dead peer c was not fast-failed")
@@ -304,7 +349,7 @@ func TestChaosFleetSurvivesPeerFailures(t *testing.T) {
 	waitUntil(t, "prober to mark c up", func() bool { return peerStat(a.cl, "c").Up })
 	fills := peerStat(a.cl, "c").Fills
 	req, _ := keyOwnedBy(t, a.cl, "c", &seq)
-	postChaos(t, front, ref.URL, req)
+	postChaos(t, a.client, front, ref.URL, req)
 	if got := peerStat(a.cl, "c").Fills; got <= fills {
 		t.Fatalf("revived peer c not filling again (fills %d -> %d)", fills, got)
 	}
@@ -314,22 +359,22 @@ func TestChaosFleetSurvivesPeerFailures(t *testing.T) {
 	// quarantined and recomputed, never served.
 	crashReq, crashKey := keyOwnedBy(t, a.cl, "a", &seq)
 	faults.Set("store.write", faults.Mode("crash").For(crashKey))
-	postChaos(t, front, ref.URL, crashReq)
+	postChaos(t, a.client, front, ref.URL, crashReq)
 	faults.Reset()
 	if errs := a.st.Stats().WriteErrors; errs != 1 {
 		t.Fatalf("store write errors = %d, want 1 (the injected crash)", errs)
 	}
 
 	diskReq, diskKey := keyOwnedBy(t, a.cl, "a", &seq)
-	postChaos(t, front, ref.URL, diskReq) // compute + persist
+	postChaos(t, a.client, front, ref.URL, diskReq) // compute + persist
 	// Push the key out of the 2-entry memory cache so the next read must
 	// come from disk, then corrupt that read.
 	for i := 0; i < 2; i++ {
 		req, _ := keyOwnedBy(t, a.cl, "a", &seq)
-		postChaos(t, front, ref.URL, req)
+		postChaos(t, a.client, front, ref.URL, req)
 	}
 	faults.Set("store.read", faults.Mode("corrupt").For(diskKey))
-	postChaos(t, front, ref.URL, diskReq) // quarantined -> recomputed, still correct
+	postChaos(t, a.client, front, ref.URL, diskReq) // quarantined -> recomputed, still correct
 	faults.Reset()
 	if q := a.st.Stats().Quarantined; q != 1 {
 		t.Fatalf("store quarantined = %d, want 1", q)
@@ -373,7 +418,7 @@ func TestChaosStoreSurvivesRestart(t *testing.T) {
 
 	seq := 0
 	req, key := keyOwnedBy(t, a.cl, "a", &seq)
-	postChaos(t, a.url, ref.URL, req)
+	postChaos(t, a.client, a.url, ref.URL, req)
 
 	// "Restart" node a: same store directory, fresh Server (cold memory
 	// cache), same address.
@@ -391,11 +436,11 @@ func TestChaosStoreSurvivesRestart(t *testing.T) {
 	a.revive(t)
 
 	analysesBefore := a.srv.met.analyses.Load()
-	wantResp, want := postAnalyze(t, ref.URL, req)
+	wantResp, want := postAnalyzeVia(t, a.client, ref.URL, req)
 	if wantResp.StatusCode != http.StatusOK {
 		t.Fatalf("reference: %s", wantResp.Status)
 	}
-	resp, got := postAnalyze(t, a.url, req)
+	resp, got := postAnalyzeVia(t, a.client, a.url, req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("after restart: %s", resp.Status)
 	}

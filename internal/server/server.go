@@ -22,8 +22,7 @@
 //     set warm.
 //
 // GET /metrics exposes the serving counters in Prometheus text format,
-// GET /v1/stats (and POST, to toggle the symbolic memoization layer) is
-// the admin view — including cluster, store, and armed-failpoint state —
+// GET /v1/stats is the read-only admin view — including cluster, store, and armed-failpoint state —
 // and GET /v1/health is the liveness probe. The package is stdlib-only,
 // like the rest of the repository.
 package server
@@ -919,29 +918,10 @@ func stagesJSON(aggs []trace.StageAgg) []stageJSON {
 	return out
 }
 
-// statsUpdate is the body of POST /v1/stats.
-type statsUpdate struct {
-	// SymbolicCacheEnabled toggles the symbolic memoization layer
-	// process-wide (symbolic.SetCacheEnabled) so cache regressions can be
-	// A/B-diagnosed on a live daemon without a restart.
-	SymbolicCacheEnabled *bool `json:"symbolic_cache_enabled"`
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-	case http.MethodPost:
-		var upd statsUpdate
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&upd); err != nil {
-			http.Error(w, "bad stats update: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if upd.SymbolicCacheEnabled != nil {
-			symbolic.SetCacheEnabled(*upd.SymbolicCacheEnabled)
-		}
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
+	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", "GET")
+		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
 	var st statsJSON

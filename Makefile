@@ -12,7 +12,8 @@
 #                  examples/daemon over real loopback HTTP twice (miss
 #                  then content-addressed hit), validate the JSON and
 #                  /metrics, and shut down gracefully
-#   make fuzz-smoke — 5s whole-pipeline fuzz (FuzzAnalyze) as a gate step
+#   make fuzz-smoke — 5s whole-pipeline fuzz (FuzzAnalyze) and 5s wire
+#                  codec fuzz (FuzzWireDecode) as gate steps
 #   make vm-differential — two-engine corpus bit-identity (tree oracle
 #                  vs bytecode VM) under the race detector
 #   make codegen-differential — native-code differential: emit every
@@ -95,9 +96,14 @@ trace-smoke:
 	echo "trace-smoke ok"
 
 # Whole-pipeline fuzz smoke: parse → analyze → re-analyze annotated
-# output under a step budget and deadline. -fuzz accepts one package.
+# output under a step budget and deadline, then the native wire codec's
+# decoders on mutated work orders. -fuzz accepts one package, so each
+# target gets its own line. The wire seeds are 3-22 kB work orders:
+# minimizing one to the byte would take the whole 5 s, so minimization
+# is capped at 100 runs per new input.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 5s -fuzzminimizetime 100x ./internal/codegen/
 
 # Property-lattice soundness gate: the adversarial injectivity battery
 # (near-misses must stay unclassified), the scatter dependence and

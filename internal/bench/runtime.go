@@ -195,9 +195,9 @@ func buildNative(b *corpus.Benchmark) (string, func(), error) {
 
 // measureNative times the generated binary on freshly built workloads.
 // The binary reports the call-sequence wall time itself, so process
-// startup and JSON codec costs stay outside the measurement, mirroring
-// how the interpreter cells time only w.Run. It returns the seconds of
-// every repetition.
+// startup and the binary work-order exchange stay outside the
+// measurement, mirroring how the interpreter cells time only w.Run. It
+// returns the seconds of every repetition.
 func measureNative(b *corpus.Benchmark, bin string, workers int, scale corpus.Scale, reps int) ([]float64, error) {
 	secs := make([]float64, reps)
 	for r := range secs {

@@ -76,9 +76,6 @@ type Config struct {
 	Retries     int
 	// Breaker tunes the per-peer circuit breakers.
 	Breaker BreakerConfig
-	// Transport overrides the HTTP transport (tests; default
-	// http.DefaultTransport).
-	Transport http.RoundTripper
 	// Logf, when non-nil, receives fleet events (peer up/down, breaker
 	// opens, fallbacks).
 	Logf func(format string, args ...any)
@@ -98,9 +95,6 @@ func (c *Config) applyDefaults() {
 		c.Retries = 0
 	} else if c.Retries == 0 {
 		c.Retries = 1
-	}
-	if c.Transport == nil {
-		c.Transport = http.DefaultTransport
 	}
 }
 
@@ -166,7 +160,7 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:     cfg,
 		ring:    ring,
 		peers:   peers,
-		client:  &http.Client{Transport: cfg.Transport},
+		client:  &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()},
 		baseCtx: ctx,
 		cancel:  cancel,
 		probeCh: make(chan struct{}),
@@ -196,7 +190,11 @@ func (c *Cluster) Start() {
 
 // Stop cancels outstanding fills, stops the prober, and waits for both.
 // After Stop every Fill fails fast, which a draining server turns into
-// local compute — so shutdown never hangs on a stalled peer.
+// local compute — so shutdown never hangs on a stalled peer. Stop then
+// closes the idle connections of the cluster's own transport, a clone
+// of http.DefaultTransport. Some of them were dialed for a request that
+// an older connection served first; a peer sees such a connection as
+// new, not idle, and its http.Server.Shutdown would wait 5 s for it.
 func (c *Cluster) Stop() {
 	if !c.stopped.CompareAndSwap(false, true) {
 		return
@@ -205,6 +203,7 @@ func (c *Cluster) Stop() {
 	close(c.probeCh)
 	c.fillWG.Wait()
 	c.proberWG.Wait()
+	c.client.CloseIdleConnections()
 }
 
 // probeLoop probes every peer each interval. One slow peer cannot stall

@@ -2,9 +2,12 @@ package cluster
 
 import (
 	"context"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -208,5 +211,117 @@ func TestStopCancelsInflightFill(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("fill never returned after Stop")
+	}
+}
+
+// TestFleetStopsAndShutsDownPromptly pins the default transport's
+// lifetime to the cluster: a two-node fleet whose fills left dialed but
+// never used connections behind must still stop and shut down its HTTP
+// servers within a second. Each such connection is in state new on the
+// peer's server, and http.Server.Shutdown waits 5 s for it unless the
+// dialing side closes it.
+func TestFleetStopsAndShutsDownPromptly(t *testing.T) {
+	type node struct {
+		hs    *http.Server
+		url   string
+		cl    *Cluster
+		mu    sync.Mutex
+		state map[net.Conn]http.ConnState
+	}
+	nodes := []*node{{}, {}}
+	for _, n := range nodes {
+		n := n
+		n.state = map[net.Conn]http.ConnState{}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.url = "http://" + ln.Addr().String()
+		n.hs = &http.Server{
+			Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body)
+				w.Write([]byte(`{"results":[]}`))
+			}),
+			ConnState: func(c net.Conn, s http.ConnState) {
+				n.mu.Lock()
+				defer n.mu.Unlock()
+				if s == http.StateClosed || s == http.StateHijacked {
+					delete(n.state, c)
+				} else {
+					n.state[c] = s
+				}
+			},
+		}
+		go n.hs.Serve(ln)
+	}
+	defer func() {
+		for _, n := range nodes {
+			n.hs.Close()
+		}
+	}()
+	names := []string{"a", "b"}
+	for i, n := range nodes {
+		cl, err := New(Config{
+			Self:          names[i],
+			Peers:         []Peer{{Name: names[1-i], URL: nodes[1-i].url}},
+			ProbeInterval: 20 * time.Millisecond,
+			FillTimeout:   time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.cl = cl
+		cl.Start()
+	}
+	fresh := func() int {
+		count := 0
+		for _, n := range nodes {
+			n.mu.Lock()
+			for _, s := range n.state {
+				if s == http.StateNew {
+					count++
+				}
+			}
+			n.mu.Unlock()
+		}
+		return count
+	}
+	// Concurrent fills race their dials against connections coming back
+	// idle; a dial that loses leaves a connection nobody uses.
+	for round := 0; round < 50 && fresh() == 0; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < 16; i++ {
+			for k, n := range nodes {
+				wg.Add(1)
+				go func(cl *Cluster, owner string) {
+					defer wg.Done()
+					if _, err := cl.Fill(context.Background(), owner, []byte(`{}`), "", nil); err != nil {
+						t.Error(err)
+					}
+				}(n.cl, names[1-k])
+			}
+		}
+		wg.Wait()
+		time.Sleep(20 * time.Millisecond)
+	}
+	// Without such a connection a slow shutdown cannot show; skip
+	// rather than pass on a run that did not exercise it.
+	if fresh() == 0 {
+		t.Skip("50 rounds of concurrent fills left no dialed but unused connection")
+	}
+
+	start := time.Now()
+	for _, n := range nodes {
+		n.cl.Stop()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, n := range nodes {
+		if err := n.hs.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("stop and shutdown took %v, want under 1s", d)
 	}
 }

@@ -26,10 +26,16 @@
 package codegen
 
 import (
+	_ "embed"
 	"fmt"
+	"go/ast"
 	"go/format"
+	"go/parser"
+	"go/token"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/cminus"
 	"repro/internal/parallelize"
@@ -40,12 +46,23 @@ type Package struct {
 	// ProgGo is the generated program file (lowered functions, call
 	// signatures, dispatch table).
 	ProgGo []byte
-	// RuntimeGo is the fixed runtime-support file (array types, JSON
-	// workload codec, guard scans, goroutine bookkeeping).
+	// RuntimeGo is the fixed runtime-support file (array types, the
+	// main that runs a work order, guard scans, goroutine bookkeeping).
 	RuntimeGo []byte
+	// WireGo is the binary work-order and result codec: rtwire.go of
+	// this package, copied with its package clause rewritten to main.
+	WireGo []byte
 	// GoMod declares the standalone module.
 	GoMod []byte
 }
+
+// wireSrc is rtwire.go itself, the codec the harness compiles in.
+//
+//go:embed rtwire.go
+var wireSrc string
+
+// genHeader opens every emitted file.
+const genHeader = "// Code generated by subsubcc -emit; DO NOT EDIT.\n\n"
 
 // gen is the per-program emitter state.
 type gen struct {
@@ -97,7 +114,7 @@ func EmitPackage(plan *parallelize.Plan, module string) (*Package, error) {
 	}
 
 	var b strings.Builder
-	b.WriteString("// Code generated by subsubcc -emit; DO NOT EDIT.\n\npackage main\n\n")
+	b.WriteString(genHeader + "package main\n\n")
 	var imports []string
 	if g.usesMath {
 		imports = append(imports, `"math"`)
@@ -128,8 +145,17 @@ func EmitPackage(plan *parallelize.Plan, module string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("codegen: runtime source does not parse: %v", err)
 	}
+	wireGo, ok := strings.CutPrefix(wireSrc, "package codegen\n")
+	if !ok {
+		return nil, fmt.Errorf("codegen: rtwire.go does not open with its package clause")
+	}
 	goMod := fmt.Sprintf("module %s\n\ngo 1.22\n", module)
-	return &Package{ProgGo: progGo, RuntimeGo: runtimeGo, GoMod: []byte(goMod)}, nil
+	return &Package{
+		ProgGo:    progGo,
+		RuntimeGo: runtimeGo,
+		WireGo:    []byte(genHeader + "package main\n" + wireGo),
+		GoMod:     []byte(goMod),
+	}, nil
 }
 
 // lowerGlobals emits package-level declarations for mini-C globals. Go
@@ -275,14 +301,58 @@ var goPredeclared = map[string]bool{
 	"uint16": true, "uint32": true, "uint64": true, "uintptr": true,
 }
 
-// genReserved are names the generated package itself uses.
-var genReserved = map[string]bool{
-	"main": true, "init": true, "math": true, "sync": true,
-	"i64arr": true, "f64arr": true,
+// genReserved are names the generated package itself uses: init, the
+// packages prog.go may import, and every import and top-level name of
+// the fixed runtime and wire files. Go forbids declaring a package-level
+// name that a file of the package also imports, so a mini-C global
+// called io must be renamed. The fixed files' names are read from their
+// source, so the set cannot drift from what they declare; it is built
+// on first use, so programs that never emit do not parse them.
+var genReserved = sync.OnceValue(func() map[string]bool {
+	return fixedNames("init", "math", "sync")
+})
+
+// fixedNames returns extra plus the package names the runtime and wire
+// sources import and the names they declare at top level.
+func fixedNames(extra ...string) map[string]bool {
+	names := map[string]bool{}
+	for _, n := range extra {
+		names[n] = true
+	}
+	for _, src := range []string{runtimeSrc, wireSrc} {
+		f, err := parser.ParseFile(token.NewFileSet(), "", src, parser.SkipObjectResolution)
+		if err != nil {
+			panic("codegen: fixed source does not parse: " + err.Error())
+		}
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			names[path[strings.LastIndex(path, "/")+1:]] = true
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							names[id.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }
 
 func unsafeName(name string) bool {
-	return goKeywords[name] || goPredeclared[name] || genReserved[name] ||
+	return goKeywords[name] || goPredeclared[name] || genReserved()[name] ||
 		strings.HasPrefix(name, "rt")
 }
 

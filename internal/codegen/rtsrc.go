@@ -2,11 +2,13 @@ package codegen
 
 // runtimeSrc is the fixed runtime-support file emitted next to every
 // generated program. It is self-contained stdlib-only Go: flat
-// row-major array types matching interp.Array's layout, a JSON workload
-// codec that round-trips float64 values through their bit patterns (so
-// inputs and outputs compare bit-exactly across engines), the guard
-// scans parallel regions run at entry, and the stats the differential
-// harness asserts against the interpreter's ExecStats.
+// row-major array types matching interp.Array's layout, the main that
+// reads a binary work order on stdin and writes the result on stdout
+// through the wire codec (rtwire.go, emitted alongside as subsubwire.go;
+// float64 values cross as bit patterns, so inputs and outputs compare
+// bit-exactly across engines), the guard scans parallel regions run at
+// entry, and the stats the differential harness asserts against the
+// interpreter's ExecStats.
 //
 // The generated program file (prog.go) supplies rtSigs and rtDispatch.
 const runtimeSrc = `// Code generated by subsubcc -emit; DO NOT EDIT.
@@ -14,9 +16,8 @@ const runtimeSrc = `// Code generated by subsubcc -emit; DO NOT EDIT.
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"time"
@@ -34,20 +35,21 @@ type f64arr struct {
 	X    []float64
 }
 
-func rtNewI64(dims ...int64) *i64arr {
+// rtElems is the element count of an array with the given dims.
+func rtElems(dims []int64) int64 {
 	n := int64(1)
 	for _, d := range dims {
 		n *= d
 	}
-	return &i64arr{Dims: dims, X: make([]int64, n)}
+	return n
+}
+
+func rtNewI64(dims ...int64) *i64arr {
+	return &i64arr{Dims: dims, X: make([]int64, rtElems(dims))}
 }
 
 func rtNewF64(dims ...int64) *f64arr {
-	n := int64(1)
-	for _, d := range dims {
-		n *= d
-	}
-	return &f64arr{Dims: dims, X: make([]float64, n)}
+	return &f64arr{Dims: dims, X: make([]float64, rtElems(dims))}
 }
 
 // rtB2i converts a comparison result used in arithmetic, mirroring the
@@ -57,43 +59,6 @@ func rtB2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// rtArg is one wire-format call argument.
-type rtArg struct {
-	Kind string ` + "`json:\"kind\"`" + ` // "int", "float", "array"
-	I    int64  ` + "`json:\"i,omitempty\"`" + `
-	Bits uint64 ` + "`json:\"bits,omitempty\"`" + `
-	Name string ` + "`json:\"name,omitempty\"`" + `
-}
-
-// rtArrayIO is an array in the wire format. Float values travel as
-// IEEE-754 bit patterns so decoding is exact.
-type rtArrayIO struct {
-	Name  string   ` + "`json:\"name\"`" + `
-	Float bool     ` + "`json:\"float\"`" + `
-	Dims  []int64  ` + "`json:\"dims\"`" + `
-	Ints  []int64  ` + "`json:\"ints,omitempty\"`" + `
-	Bits  []uint64 ` + "`json:\"bits,omitempty\"`" + `
-}
-
-type rtCallIO struct {
-	Fn   string  ` + "`json:\"fn\"`" + `
-	Args []rtArg ` + "`json:\"args\"`" + `
-}
-
-type rtInput struct {
-	Workers    int         ` + "`json:\"workers\"`" + `
-	FailGuards []string    ` + "`json:\"fail_guards,omitempty\"`" + `
-	Arrays     []rtArrayIO ` + "`json:\"arrays\"`" + `
-	Calls      []rtCallIO  ` + "`json:\"calls\"`" + `
-}
-
-type rtOutput struct {
-	Arrays   []rtArrayIO ` + "`json:\"arrays\"`" + `
-	Parallel int64       ` + "`json:\"parallel\"`" + `
-	Fallback int64       ` + "`json:\"fallback\"`" + `
-	Seconds  float64     ` + "`json:\"seconds\"`" + `
 }
 
 var (
@@ -182,17 +147,17 @@ func rtGuardRangeMono(a *i64arr, n int64) bool {
 // call-boundary conversions: float-to-int truncates, int-to-float is
 // exact.
 func rtArgInt(a rtArg) int64 {
-	if a.Kind == "float" {
+	if a.Kind == rtKindFloat {
 		return int64(math.Float64frombits(a.Bits))
 	}
-	return a.I
+	return int64(a.Bits)
 }
 
 func rtArgFloat(a rtArg) float64 {
-	if a.Kind == "float" {
+	if a.Kind == rtKindFloat {
 		return math.Float64frombits(a.Bits)
 	}
-	return float64(a.I)
+	return float64(int64(a.Bits))
 }
 
 func rtArgI64(a rtArg) *i64arr { return rtI64[a.Name] }
@@ -200,7 +165,7 @@ func rtArgF64(a rtArg) *f64arr { return rtF64[a.Name] }
 
 // rtValidate checks a workload call against the generated signature
 // table before dispatch.
-func rtValidate(c rtCallIO) error {
+func rtValidate(c rtCall) error {
 	sig, ok := rtSigs[c.Fn]
 	if !ok {
 		return fmt.Errorf("unknown function %q", c.Fn)
@@ -212,16 +177,16 @@ func rtValidate(c rtCallIO) error {
 		a := c.Args[i]
 		switch kind {
 		case "int", "float":
-			if a.Kind != "int" && a.Kind != "float" {
-				return fmt.Errorf("%s arg %d: want scalar, got %q", c.Fn, i, a.Kind)
+			if a.Kind == rtKindArray {
+				return fmt.Errorf("%s arg %d: want scalar, got array %q", c.Fn, i, a.Name)
 			}
 		case "i64a":
-			if a.Kind != "array" || rtI64[a.Name] == nil {
-				return fmt.Errorf("%s arg %d: want int array, got %q %q", c.Fn, i, a.Kind, a.Name)
+			if a.Kind != rtKindArray || rtI64[a.Name] == nil {
+				return fmt.Errorf("%s arg %d: want int array, got kind %d %q", c.Fn, i, a.Kind, a.Name)
 			}
 		case "f64a":
-			if a.Kind != "array" || rtF64[a.Name] == nil {
-				return fmt.Errorf("%s arg %d: want float array, got %q %q", c.Fn, i, a.Kind, a.Name)
+			if a.Kind != rtKindArray || rtF64[a.Name] == nil {
+				return fmt.Errorf("%s arg %d: want float array, got kind %d %q", c.Fn, i, a.Kind, a.Name)
 			}
 		}
 	}
@@ -229,13 +194,17 @@ func rtValidate(c rtCallIO) error {
 }
 
 func rtMain() error {
-	var in rtInput
-	if err := json.NewDecoder(bufio.NewReader(os.Stdin)).Decode(&in); err != nil {
+	msg, err := io.ReadAll(os.Stdin)
+	if err != nil {
+		return fmt.Errorf("read input: %w", err)
+	}
+	in, err := rtDecodeWork(msg)
+	if err != nil {
 		return fmt.Errorf("decode input: %w", err)
 	}
-	rtWorkers = in.Workers
-	if rtWorkers < 1 {
-		rtWorkers = 1
+	rtWorkers = 1
+	if in.Workers > 1 {
+		rtWorkers = int(in.Workers)
 	}
 	rtFails = map[string]bool{}
 	for _, f := range in.FailGuards {
@@ -244,22 +213,13 @@ func rtMain() error {
 	rtI64 = map[string]*i64arr{}
 	rtF64 = map[string]*f64arr{}
 	for _, a := range in.Arrays {
+		if rtElems(a.Dims) != int64(a.elems()) {
+			return fmt.Errorf("array %s: %d values for dims %v", a.Name, a.elems(), a.Dims)
+		}
 		if a.Float {
-			arr := rtNewF64(a.Dims...)
-			if len(a.Bits) != len(arr.X) {
-				return fmt.Errorf("array %s: %d values for %v dims", a.Name, len(a.Bits), a.Dims)
-			}
-			for i, b := range a.Bits {
-				arr.X[i] = math.Float64frombits(b)
-			}
-			rtF64[a.Name] = arr
+			rtF64[a.Name] = &f64arr{Dims: a.Dims, X: a.Flts}
 		} else {
-			arr := rtNewI64(a.Dims...)
-			if len(a.Ints) != len(arr.X) {
-				return fmt.Errorf("array %s: %d values for %v dims", a.Name, len(a.Ints), a.Dims)
-			}
-			copy(arr.X, a.Ints)
-			rtI64[a.Name] = arr
+			rtI64[a.Name] = &i64arr{Dims: a.Dims, X: a.Ints}
 		}
 	}
 	for _, c := range in.Calls {
@@ -273,7 +233,7 @@ func rtMain() error {
 			return fmt.Errorf("no dispatch for %q", c.Fn)
 		}
 	}
-	out := rtOutput{
+	out := rtResult{
 		Parallel: rtStats.Parallel,
 		Fallback: rtStats.Fallback,
 		Seconds:  time.Since(start).Seconds(),
@@ -288,17 +248,14 @@ func rtMain() error {
 	sortStrings(names)
 	for _, name := range names {
 		if arr, ok := rtI64[name]; ok {
-			out.Arrays = append(out.Arrays, rtArrayIO{Name: name, Dims: arr.Dims, Ints: arr.X})
+			out.Arrays = append(out.Arrays, rtArray{Name: name, Dims: arr.Dims, Ints: arr.X})
 			continue
 		}
 		arr := rtF64[name]
-		bits := make([]uint64, len(arr.X))
-		for i, f := range arr.X {
-			bits[i] = math.Float64bits(f)
-		}
-		out.Arrays = append(out.Arrays, rtArrayIO{Name: name, Float: true, Dims: arr.Dims, Bits: bits})
+		out.Arrays = append(out.Arrays, rtArray{Name: name, Float: true, Dims: arr.Dims, Flts: arr.X})
 	}
-	return json.NewEncoder(os.Stdout).Encode(out)
+	_, err = os.Stdout.Write(rtEncodeResult(&out))
+	return err
 }
 
 // sortStrings is an insertion sort; the handful of workload arrays does

@@ -50,15 +50,11 @@ type fleetNode struct {
 	// revive dials the new server instead of reusing a dead keep-alive
 	// connection (http.DefaultClient would, and fail with EOF).
 	client *http.Client
-	// base is the context every handler's request context derives from;
-	// the fleet cleanup cancels it, so a handler stalled by a failpoint
-	// returns at once instead of outliving the test.
-	base context.Context
 }
 
 // serve starts the node's HTTP server on ln.
 func (n *fleetNode) serve(ln net.Listener) {
-	n.hs = &http.Server{Handler: n.srv, BaseContext: func(net.Listener) context.Context { return n.base }}
+	n.hs = &http.Server{Handler: n.srv}
 	go n.hs.Serve(ln)
 }
 
@@ -97,19 +93,17 @@ func newFleet(t *testing.T, n int) []*fleetNode {
 	names := []string{"a", "b", "c", "d", "e"}[:n]
 	nodes := make([]*fleetNode, n)
 	listeners := make([]net.Listener, n)
-	// One transport carries the test's requests and the nodes' peer
-	// traffic, so the cleanup can drop every idle connection: an unused
-	// one counts as new, not idle, and would hold Shutdown for 5 s.
+	// The test's own requests get a transport the cleanup can drop the
+	// idle connections of; each cluster closes its own in Stop. An
+	// unused connection counts as new, not idle, and would hold Shutdown
+	// for 5 s.
 	tr := &http.Transport{}
 	client := &http.Client{Transport: tr}
-	base, cancelBase := context.WithCancel(context.Background())
-	// Disarm any failpoint and release stalled handlers (a stalled peer
-	// fill otherwise holds its handler for 5 s), stop the clusters, then
-	// wait for in-flight handlers to finish before the test ends: a
-	// handler outliving the test would log through a completed t.
+	// Disarm any failpoint, stop the clusters, then wait for in-flight
+	// handlers to finish before the test ends: a handler outliving the
+	// test would log through a completed t.
 	t.Cleanup(func() {
 		faults.Reset()
-		cancelBase()
 		for _, node := range nodes {
 			if node != nil && node.cl != nil {
 				node.cl.Stop()
@@ -137,7 +131,6 @@ func newFleet(t *testing.T, n int) []*fleetNode {
 			addr:   ln.Addr().String(),
 			url:    "http://" + ln.Addr().String(),
 			client: client,
-			base:   base,
 		}
 	}
 	for i, node := range nodes {
@@ -158,8 +151,7 @@ func newFleet(t *testing.T, n int) []*fleetNode {
 				BaseBackoff: 50 * time.Millisecond,
 				MaxBackoff:  250 * time.Millisecond,
 			},
-			Transport: tr,
-			Logf:      t.Logf,
+			Logf: t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -538,5 +530,44 @@ func TestDrainWithInflightPeerFill(t *testing.T) {
 	}
 	if got := s.waiting.Load(); got != 0 {
 		t.Fatalf("queue depth = %d after drain, want 0", got)
+	}
+}
+
+// TestStalledPeerFillSeesClientGiveUp pins the "stall" peer-fill
+// failpoint to what a stalled peer does: it holds a fill until the
+// filling client gives up, not for its full 5 s. The handler can only
+// see the client leave once the request body is consumed.
+func TestStalledPeerFillSeesClientGiveUp(t *testing.T) {
+	t.Cleanup(faults.Reset)
+	faults.Set("server.peerfill", faults.Mode("stall").For("b").Forever())
+	s := New(Config{NodeName: "b", Logf: t.Logf})
+	returned := make(chan time.Time, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.ServeHTTP(w, r)
+		returned <- time.Now()
+	}))
+	defer ts.Close()
+
+	// A body without sources fails validation once the stall ends, so
+	// the handler starts no analysis that could outlive the test.
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/analyze", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(cluster.FillHeader, "1")
+	client := &http.Client{Timeout: 400 * time.Millisecond, Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	start := time.Now()
+	if resp, err := client.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("stalled fill answered %s", resp.Status)
+	}
+	select {
+	case end := <-returned:
+		if d := end.Sub(start); d > 2*time.Second {
+			t.Fatalf("stalled handler returned after %v, want soon after the 400ms client timeout", d)
+		}
+	case <-time.After(4 * time.Second):
+		t.Fatal("stalled handler still running 4s after the client gave up")
 	}
 }

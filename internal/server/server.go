@@ -28,6 +28,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"crypto/sha256"
@@ -578,6 +579,15 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		if mode, ok := faults.Fire("server.peerfill", s.cfg.NodeName); ok {
 			switch mode {
 			case "stall":
+				// The server notices the client hanging up only once the
+				// body is consumed, so read it first and hand it back to
+				// the handler below; then wait for the client to give up.
+				body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+				if err != nil {
+					http.Error(w, "request body unreadable or over the size limit", http.StatusRequestEntityTooLarge)
+					return
+				}
+				r.Body = io.NopCloser(bytes.NewReader(body))
 				select {
 				case <-r.Context().Done():
 				case <-time.After(5 * time.Second):
